@@ -1,13 +1,19 @@
 // Streaming-update benchmark (ISSUE 4 / ROADMAP "incremental updates
 // under edge streams on top of the sharded format"): updates/sec of the
 // batched apply -> parallel repair loop, and repair latency as a function
-// of the pending delta size, over a sharded PLRG.
+// of the batch size and of the pending delta size, over a sharded PLRG.
 //
-// Each iteration applies one batch of updates and runs Repair(); the
-// delta is force-compacted between iterations (outside the timing), so
-// every measured repair sees exactly `batch` pending delta entries --
-// that makes the batch sweep a direct "repair latency vs delta size"
-// curve, and items/sec the sustained update throughput.
+// Each iteration of BM_StreamApplyRepair applies one batch of updates and
+// runs Repair(); the delta is force-compacted between iterations (outside
+// the timing), so every measured repair sees exactly `batch` pending
+// delta entries -- that makes the batch sweep an "apply + repair latency
+// vs batch size" curve, and items/sec the sustained update throughput.
+//
+// BM_StreamRepairAccumulating is the complement: compaction is off and
+// the pending delta is never reset, so it grows to about 64k entries per
+// shard over the run. A repair reads the in-memory delta state, not the
+// logs, so its cost must stay flat as the delta grows; the run reports
+// repair_ms_per_pass over its first and its last passes side by side.
 //
 // Determinism is asserted inside the timing loop: a 1-thread mirror
 // instance consumes the same stream (outside the timing), and the
@@ -246,6 +252,91 @@ void BM_StreamApplyRepair(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamApplyRepair)
     ->ArgsProduct({{1024, 8192, 65536}, {1, 2, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Passes averaged for the start and end figures of the accumulating run.
+constexpr int kRepairWindow = 8;
+// 64 batches of 8192 updates route about 2 * 64 * 8192 / 16 = 65536
+// entries to each of the 16 shard logs.
+constexpr int kAccumulatingBatches = 64;
+constexpr size_t kAccumulatingBatch = 8192;
+
+void BM_StreamRepairAccumulating(benchmark::State& state) {
+  StreamEnv& env = Env();
+  const uint32_t threads = static_cast<uint32_t>(state.range(0));
+
+  std::string manifest, mirror_manifest;
+  BitVector initial, mirror_initial;
+  if (!env.NewShardedCopy(&manifest, &initial) ||
+      !env.NewShardedCopy(&mirror_manifest, &mirror_initial)) {
+    state.SkipWithError("sharded copy setup failed");
+    return;
+  }
+  // compact_threshold_entries stays 0: the delta only ever grows.
+  EnginePipelineOptions opts;
+  opts.num_threads = threads;
+  auto mis = std::make_unique<ShardedStreamingMis>();
+  EnginePipelineOptions mirror_opts;
+  mirror_opts.num_threads = 1;
+  auto mirror = std::make_unique<ShardedStreamingMis>();
+  if (!mis->Initialize(manifest, initial, opts).ok() ||
+      !mirror->Initialize(mirror_manifest, mirror_initial, mirror_opts)
+           .ok()) {
+    state.SkipWithError("Initialize failed");
+    return;
+  }
+
+  Random rng(2027);
+  std::vector<std::pair<VertexId, VertexId>> live;
+  std::vector<EdgeUpdate> updates;
+  std::vector<double> repair_ms;
+  for (auto _ : state) {
+    state.PauseTiming();
+    MakeBatch(&rng, env.num_vertices, &live, &updates, kAccumulatingBatch);
+    state.ResumeTiming();
+    Status s = mis->ApplyBatch(updates);
+    const double repair_before = mis->stats().repair_seconds;
+    if (s.ok()) s = mis->Repair();
+    state.PauseTiming();
+    repair_ms.push_back(1e3 * (mis->stats().repair_seconds - repair_before));
+    // Determinism gate, as in BM_StreamApplyRepair.
+    if (s.ok()) s = mirror->ApplyBatch(updates);
+    if (s.ok()) s = mirror->Repair();
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      state.ResumeTiming();
+      break;
+    }
+    if (!SameSet(mis->set(), mirror->set())) {
+      state.SkipWithError("result differs from the 1-thread repair");
+      state.ResumeTiming();
+      break;
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kAccumulatingBatch));
+  state.counters["threads"] = threads;
+  state.counters["delta_entries_per_shard"] =
+      static_cast<double>(mis->stats().pending_delta_entries) / kNumShards;
+  if (repair_ms.size() >= 2 * kRepairWindow) {
+    const auto mean = [](auto first, auto last) {
+      double sum = 0.0;
+      for (auto it = first; it != last; ++it) sum += *it;
+      return sum / static_cast<double>(last - first);
+    };
+    state.counters["repair_ms_per_pass_start"] =
+        mean(repair_ms.begin(), repair_ms.begin() + kRepairWindow);
+    state.counters["repair_ms_per_pass_end"] =
+        mean(repair_ms.end() - kRepairWindow, repair_ms.end());
+  }
+  state.counters["set_size"] = static_cast<double>(mis->set_size());
+}
+BENCHMARK(BM_StreamRepairAccumulating)
+    ->Arg(1)
+    ->Arg(4)
+    ->Iterations(kAccumulatingBatches)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

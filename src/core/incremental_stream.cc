@@ -5,6 +5,7 @@
 #include <memory>
 #include <queue>
 #include <thread>
+#include <unordered_set>
 
 #include "io/epoch_journal.h"
 #include "util/crash_point.h"
@@ -12,14 +13,6 @@
 #include "util/timer.h"
 
 namespace semis {
-
-namespace {
-
-// Approximate heap bytes of one hash-set slot holding a u64 key (bucket
-// pointer + node). Accounting, not allocation truth.
-constexpr size_t kHashSlotBytes = 4 * sizeof(uint64_t);
-
-}  // namespace
 
 Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
                                        const BitVector& initial_set,
@@ -44,8 +37,7 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
   n_ = manifest_.header.num_vertices;
   set_ = initial_set;
   set_size_ = set_.Count();
-  inserted_.clear();
-  deleted_.clear();
+  delta_.Reset(n_);
   pending_.assign(manifest_.num_shards(), {});
   next_sequence_ = 0;
 
@@ -199,24 +191,16 @@ Status ShardedStreamingMis::ValidateUpdate(const EdgeUpdate& update) const {
 }
 
 bool ShardedStreamingMis::ApplyToState(const EdgeUpdate& update) {
-  const uint64_t key = EdgeKey(update.u, update.v);
-  if (update.op == EdgeDeltaOp::kInsert) {
-    if (inserted_.count(key) != 0) return false;  // already live in delta
-    inserted_.insert(key);
-    deleted_.erase(key);
-    // Eager independence maintenance: the larger id leaves, as in
-    // IncrementalMis (and the lowest-id-wins rule of the swap executor).
-    if (set_.Test(update.u) && set_.Test(update.v)) {
-      set_.Clear(update.u > update.v ? update.u : update.v);
-      set_size_--;
-      stats_.evictions++;
-    }
-    return true;
+  if (!delta_.Apply(update.op, update.u, update.v)) return false;
+  // Eager independence maintenance: the larger id leaves, as in
+  // IncrementalMis (and the lowest-id-wins rule of the swap executor). A
+  // deletion can only open a maximality gap; Repair() closes it.
+  if (update.op == EdgeDeltaOp::kInsert && set_.Test(update.u) &&
+      set_.Test(update.v)) {
+    set_.Clear(update.u > update.v ? update.u : update.v);
+    set_size_--;
+    stats_.evictions++;
   }
-  if (deleted_.count(key) != 0) return false;  // already deleted in delta
-  deleted_.insert(key);
-  inserted_.erase(key);
-  // A deletion can only open a maximality gap; Repair() closes it.
   return true;
 }
 
@@ -233,8 +217,15 @@ Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
   // Validate everything up front: a bad update fails the whole batch
   // before any state or log is touched, so callers never see a partially
   // applied batch.
+  uint64_t inserts = 0;
   for (const EdgeUpdate& update : updates) {
     SEMIS_RETURN_IF_ERROR(ValidateUpdate(update));
+    if (update.op == EdgeDeltaOp::kInsert) inserts++;
+  }
+  if (delta_.num_inserted() + inserts > EdgeDeltaState::kMaxInsertedEdges) {
+    return Status::InvalidArgument(
+        "batch could exceed the live inserted-edge capacity of the delta "
+        "state; compact first");
   }
   // Apply in order and collect the logged tail per shard.
   std::vector<std::vector<EdgeDeltaEntry>> fresh(manifest_.num_shards());
@@ -301,90 +292,37 @@ Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
   return Status::OK();
 }
 
-void ShardedStreamingMis::BuildShardDeltaView(uint32_t shard,
-                                              ShardDeltaView* view) const {
-  // Replay the shard's entries in sequence order. The final view is the
-  // shard-local restriction of the global delta state: every delta edge
-  // incident to a vertex whose record lives in `shard` was routed here.
-  for (const EdgeDeltaEntry& entry : pending_[shard]) {
-    const uint64_t key = EdgeKey(entry.u, entry.v);
-    if (entry.op == EdgeDeltaOp::kInsert) {
-      view->deleted.erase(key);
-      view->inserted_adj[entry.u].push_back(entry.v);
-      view->inserted_adj[entry.v].push_back(entry.u);
-    } else {
-      view->deleted.insert(key);
-      for (VertexId a : {entry.u, entry.v}) {
-        const VertexId b = (a == entry.u) ? entry.v : entry.u;
-        auto it = view->inserted_adj.find(a);
-        if (it == view->inserted_adj.end()) continue;
-        auto& vec = it->second;
-        for (size_t i = 0; i < vec.size(); ++i) {
-          if (vec[i] == b) {
-            vec[i] = vec.back();
-            vec.pop_back();
-            break;
-          }
-        }
-      }
-    }
-  }
-}
-
 template <typename Source>
 Status ShardedStreamingMis::RepairScan(Source* source, uint64_t* added) {
   // The exact sequential rule of IncrementalMis::Repair, committed
   // strictly in global manifest order: a non-member with no live set
   // neighbor (base edges masked by deletes, plus inserted edges) joins,
-  // and later records observe the addition through set_.
-  ShardDeltaView view;
-  uint32_t shard = 0;
-  uint64_t remaining = manifest_.shards.empty()
-                           ? 0
-                           : manifest_.shards[0].num_records;
-  bool view_built = false;
+  // and later records observe the addition through set_. The global delta
+  // state answers for every shard (docs/formats.md, "Determinism contract
+  // of the streaming Repair"), so a record costs O(1) delta probes per
+  // neighbor whatever the pending delta holds.
+  const auto in_set = [this](VertexId v) { return set_.Test(v); };
+  uint64_t remaining = 0;
+  for (const ShardInfo& info : manifest_.shards) {
+    remaining += info.num_records;
+  }
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(source->Next(&rec, &has_next));
     if (!has_next) break;
-    while (remaining == 0 && shard + 1 < manifest_.num_shards()) {
-      shard++;
-      remaining = manifest_.shards[shard].num_records;
-      view_built = false;
-    }
     if (remaining == 0) {
       return Status::Corruption("record stream longer than the manifest");
     }
     remaining--;
-    if (!view_built) {
-      view = ShardDeltaView();
-      if (!pending_[shard].empty()) BuildShardDeltaView(shard, &view);
-      view_built = true;
-    }
     const VertexId u = rec.id;
     if (set_.Test(u)) continue;
     bool has_set_neighbor = false;
     for (uint32_t i = 0; i < rec.degree && !has_set_neighbor; ++i) {
       const VertexId nb = rec.neighbors[i];
-      if (set_.Test(nb) &&
-          (view.deleted.empty() ||
-           view.deleted.find(EdgeKey(u, nb)) == view.deleted.end())) {
-        has_set_neighbor = true;
-      }
+      has_set_neighbor = set_.Test(nb) && !delta_.IsDeleted(u, nb);
     }
-    if (!has_set_neighbor && !view.inserted_adj.empty()) {
-      auto it = view.inserted_adj.find(u);
-      if (it != view.inserted_adj.end()) {
-        for (VertexId nb : it->second) {
-          if (set_.Test(nb)) {
-            has_set_neighbor = true;
-            break;
-          }
-        }
-      }
-    }
-    if (!has_set_neighbor) {
+    if (!has_set_neighbor && !delta_.AnyInsertedNeighbor(u, in_set)) {
       set_.Set(u);
       set_size_++;
       (*added)++;
@@ -441,9 +379,6 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
                                          ShardInfo* new_info,
                                          uint32_t* max_degree_seen,
                                          bool* records_changed) {
-  ShardDeltaView view;
-  BuildShardDeltaView(shard, &view);
-
   AdjacencyShardReader reader(&stats_.io);
   SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
   SequentialFileWriter writer(&stats_.io);
@@ -451,6 +386,7 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
   SEMIS_RETURN_IF_ERROR(WriteAdjacencyShardHeader(&writer, shard, n_));
 
   std::vector<VertexId> neighbors;
+  std::vector<VertexId> extra;
   std::unordered_set<VertexId> present;
   VertexRecordView rec;
   bool has_next = false;
@@ -462,21 +398,18 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
     // Base neighbors surviving the deletes, in base order.
     for (uint32_t i = 0; i < rec.degree; ++i) {
       const VertexId nb = rec.neighbors[i];
-      if (!view.deleted.empty() &&
-          view.deleted.find(EdgeKey(u, nb)) != view.deleted.end()) {
-        continue;
-      }
-      neighbors.push_back(nb);
+      if (!delta_.IsDeleted(u, nb)) neighbors.push_back(nb);
     }
     bool changed = neighbors.size() != rec.degree;
     // Inserted neighbors appended in ascending id order, deduplicated
     // against the surviving base list -- an insert may duplicate a base
-    // edge, and folding it twice would corrupt the record.
-    auto it = view.inserted_adj.find(u);
-    if (it != view.inserted_adj.end() && !it->second.empty()) {
+    // edge (or, for a cross-shard edge, one this shard's base already
+    // folded), and folding it twice would corrupt the record.
+    extra.clear();
+    delta_.AppendInsertedNeighbors(u, &extra);
+    if (!extra.empty()) {
       present.clear();
       present.insert(neighbors.begin(), neighbors.end());
-      std::vector<VertexId> extra = it->second;
       std::sort(extra.begin(), extra.end());
       for (VertexId nb : extra) {
         if (present.insert(nb).second) {
@@ -541,17 +474,9 @@ Status ShardedStreamingMis::CollectStoreGarbage() {
 Status ShardedStreamingMis::RebuildDeltaState() {
   // Compaction retired some entries; the global delta state is the replay
   // of what is still pending, merged across shards by sequence number.
-  inserted_.clear();
-  deleted_.clear();
+  delta_.Reset(n_);
   return ForEachMergedPendingEntry([this](const EdgeDeltaEntry& entry) {
-    const uint64_t key = EdgeKey(entry.u, entry.v);
-    if (entry.op == EdgeDeltaOp::kInsert) {
-      inserted_.insert(key);
-      deleted_.erase(key);
-    } else {
-      deleted_.insert(key);
-      inserted_.erase(key);
-    }
+    (void)delta_.Apply(entry.op, entry.u, entry.v);
   });
 }
 
@@ -903,8 +828,7 @@ Status ShardedStreamingMis::ResortInternal() {
   SEMIS_RETURN_IF_ERROR(
       ReadShardedAdjacencyManifest(manifest_path_, &manifest_, &stats_.io));
   pending_.assign(num_shards, {});
-  inserted_.clear();
-  deleted_.clear();
+  delta_.Reset(n_);
   stats_.pending_delta_entries = 0;
   SEMIS_RETURN_IF_ERROR(BuildRouteMap());
   return CollectStoreGarbage();
@@ -912,8 +836,7 @@ Status ShardedStreamingMis::ResortInternal() {
 
 size_t ShardedStreamingMis::CurrentMemoryBytes() const {
   size_t bytes = shard_of_.capacity() * sizeof(uint16_t) +
-                 set_.MemoryBytes() +
-                 (inserted_.size() + deleted_.size()) * kHashSlotBytes;
+                 set_.MemoryBytes() + delta_.MemoryBytes();
   for (const auto& shard_entries : pending_) {
     bytes += shard_entries.capacity() * sizeof(EdgeDeltaEntry);
   }

@@ -8,27 +8,33 @@
 // as a stream of edge insertions/deletions. Each update is
 //   * applied eagerly to the in-memory membership (an insertion between
 //     two set members evicts the larger id, O(1), exactly like
-//     IncrementalMis), and
+//     IncrementalMis),
+//   * folded into the global delta state (core/edge_delta_state.h: the
+//     inserted adjacency and the deleted keys as of the last update), and
 //   * routed to the SDELTA log of every shard holding an endpoint's base
-//     record, so each shard log carries the full delta incident to its
-//     records and the logs double as a durable redo stream.
+//     record. The logs are the durable redo stream: Initialize replays
+//     them, and compaction retires them shard by shard.
 //
-// Repair() restores maximality with ONE pass over the base shards merged
-// with the per-shard delta. The pass commits the exact sequential rule of
-// IncrementalMis::Repair strictly in global manifest order while worker
-// threads prefetch and decode shards ahead of it through
-// ManifestOrderedShardCursor -- the same pipeline (and the same
-// determinism contract) as RunParallelGreedy:
+// Repair() restores maximality with ONE pass over the base shards,
+// probing the global delta state in O(1) per base neighbor -- a repair
+// costs one base scan however large the pending delta has grown. The
+// pass commits the exact sequential rule of IncrementalMis::Repair
+// strictly in global manifest order while worker threads prefetch and
+// decode shards ahead of it through ManifestOrderedShardCursor -- the
+// same pipeline (and the same determinism contract) as RunParallelGreedy:
 //
 //   the repaired set is byte-identical for EVERY shard/thread count, and
 //   equal to sequential IncrementalMis::Repair on the equivalent
 //   monolithic file; num_threads <= 1 is the plain sequential scan.
 //
 // Compact() folds saturated shards' deltas into the base: each saturated
-// shard is rewritten with deletions dropped and insertions appended to
-// its records. A cross-shard edge compacts independently on each side --
-// the routed log copies make that safe. Compaction never changes the
-// effective graph, only where it is stored.
+// shard is rewritten from the same global delta state, with deletions
+// dropped and insertions appended to its records. A cross-shard edge
+// compacts independently on each side; docs/formats.md ("Determinism
+// contract of the streaming Repair") shows why reading the global state
+// for a shard whose own log no longer holds an edge gives the same
+// answer. Compaction never changes the effective graph, only where it is
+// stored.
 //
 // Durability: every multi-file mutation (compaction, re-sort) is an epoch
 // commit of the journaled store layout (graph/shard_store.h): the new
@@ -51,11 +57,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
+#include "core/edge_delta_state.h"
 #include "core/pipeline_options.h"
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
@@ -210,6 +214,13 @@ class ShardedStreamingMis {
   /// Session statistics so far.
   const StreamingMisStats& stats() const { return stats_; }
 
+  /// Logical bytes of the maintainer's in-memory structures right now:
+  /// routing map, membership, the global delta state (inserted adjacency,
+  /// deleted keys, gate bits) and the pending log mirror.
+  /// `stats().peak_memory_bytes` is the high-water mark of this figure
+  /// (plus the repair pipeline's decode buffer).
+  size_t CurrentMemoryBytes() const;
+
   /// The SADJS manifest as of the last Initialize/Compact/Resort.
   const ShardedAdjacencyManifest& manifest() const { return manifest_; }
 
@@ -217,11 +228,6 @@ class ShardedStreamingMis {
   const ResolvedShardStore& store() const { return store_; }
 
  private:
-  static uint64_t EdgeKey(VertexId u, VertexId v) {
-    if (u > v) std::swap(u, v);
-    return (static_cast<uint64_t>(u) << 32) | v;
-  }
-
   Status ValidateUpdate(const EdgeUpdate& update) const;
   // Applies one validated update to the in-memory state; returns true if
   // it changed the delta state (and must be logged).
@@ -235,15 +241,6 @@ class ShardedStreamingMis {
   // and calls `fn` once per update in stream order.
   template <typename Fn>
   Status ForEachMergedPendingEntry(Fn&& fn) const;
-  // Shard-local merged view of the pending delta, rebuilt per shard
-  // during Repair/Compact.
-  struct ShardDeltaView {
-    std::unordered_set<uint64_t> deleted;
-    // Flat inserted adjacency for the shard's records, built by replaying
-    // the shard's entries in sequence order.
-    std::unordered_map<VertexId, std::vector<VertexId>> inserted_adj;
-  };
-  void BuildShardDeltaView(uint32_t shard, ShardDeltaView* view) const;
   // The shared Repair commit rule, applied to records strictly in
   // manifest order. `Source` exposes the view-API Next(&view, &has_next).
   template <typename Source>
@@ -270,10 +267,9 @@ class ShardedStreamingMis {
   // file at `run_path` (u64 key + u32 neighbors per record).
   Status BuildResortRun(uint32_t shard, const std::string& run_path,
                         IoStats* io);
-  // Rebuilds inserted_/deleted_ from the pending per-shard entries (after
-  // compaction retired some of them).
+  // Rebuilds delta_ from the pending per-shard entries (after compaction
+  // retired some of them).
   Status RebuildDeltaState();
-  size_t CurrentMemoryBytes() const;
   void AccountMemory();
 
   // The store root as given to Initialize (SEPR pointer or legacy SADM).
@@ -292,12 +288,10 @@ class ShardedStreamingMis {
   std::vector<uint16_t> shard_of_;
   BitVector set_;
   uint64_t set_size_ = 0;
-  // Global delta state (the CURRENT effective delta, deduplicated):
-  // effective edges = (base \ deleted_) + inserted_. Same conventions as
-  // IncrementalMis: inserted_ may overlap base edges, deleted_ may hold
-  // keys the base never had.
-  std::unordered_set<uint64_t> inserted_;
-  std::unordered_set<uint64_t> deleted_;
+  // Global delta state (the CURRENT effective delta, deduplicated), kept
+  // up to date by every applied update and read directly by Repair and
+  // Compact.
+  EdgeDeltaState delta_;
   // Pending (uncompacted) entries per shard, in sequence order -- the
   // in-memory mirror of the on-disk logs.
   std::vector<std::vector<EdgeDeltaEntry>> pending_;

@@ -164,6 +164,20 @@ grep -q "degree_sorted=false" "$work/updeg.log" \
     || fail "update --stats did not report degree_sorted=false"
 grep -q "not degree-sorted" "$work/updeg.err" \
     || fail "update printed no degraded-order warning on stderr"
+# The warning says why: this store's flag went with a compaction...
+grep -q "was compacted since it was sharded" "$work/updeg.err" \
+    || fail "warning on a compacted store did not blame the compaction"
+grep -q "never degree-sorted" "$work/updeg.err" \
+    && fail "warning on a compacted store claimed it was never sorted"
+# ...while a freshly sharded, never-sorted graph never had the flag.
+"$CLI" shard "$work/g.adj" "$work/gun.sadjs" --shards 2 >/dev/null
+"$CLI" update "$work/gun.sadjs" --stream "$work/updates.txt" --batch 8 \
+    > "$work/updun.log" 2> "$work/updun.err" \
+    || fail "update on an unsorted manifest exited non-zero"
+grep -q "the input was never degree-sorted" "$work/updun.err" \
+    || fail "warning on a never-sorted store did not say so"
+grep -q "compacted" "$work/updun.err" \
+    && fail "warning on a never-sorted store blamed a compaction"
 # A freshly sharded (still degree-sorted) manifest: flag true, no warning.
 "$CLI" shard "$work/g.sadj" "$work/gs.sadjs" --shards 2 >/dev/null
 "$CLI" solve "$work/gs.sadjs" --algo greedy --stats \

@@ -204,6 +204,164 @@ TEST_F(IncrementalStreamTest, DifferentialStreamOnWorkedExamples) {
   }
 }
 
+// Shard holding vertex `v`'s base record in the store at `manifest_path`.
+uint32_t ShardOf(const std::string& manifest_path, VertexId v) {
+  ShardedAdjacencyManifest manifest;
+  EXPECT_OK(ReadShardedAdjacencyManifest(manifest_path, &manifest));
+  for (uint32_t k = 0; k < manifest.num_shards(); ++k) {
+    AdjacencyShardReader reader;
+    EXPECT_OK(reader.Open(manifest_path, manifest, k));
+    VertexRecordView rec;
+    bool has_next = false;
+    while (reader.Next(&rec, &has_next).ok() && has_next) {
+      if (rec.id == v) return k;
+    }
+  }
+  ADD_FAILURE() << "no record for vertex " << v;
+  return 0;
+}
+
+TEST_F(IncrementalStreamTest, OneSidedCompactionOfACrossShardEdge) {
+  // Repair and compaction read the GLOBAL delta state, while a shard
+  // compacts only its own log. The case that equivalence rests on: a
+  // cross-shard edge u-v (u in shard s, v in shard t) whose insert is
+  // folded into s's base while t's copy stays pending, followed by
+  // delete -> re-insert -> delete. u and v are isolated in the base and
+  // both start in the set, so every step flips v's membership and a
+  // mis-masked or double-counted edge shows up in the set.
+  constexpr VertexId kN = 48;
+  constexpr VertexId kU = 0;
+  constexpr VertexId kV = kN - 1;
+  constexpr VertexId kA = 1;  // a, b: a pair in u's shard, toggled to
+  constexpr VertexId kB = 2;  // bring that shard to the threshold alone
+  constexpr uint64_t kThreshold = 6;
+  const Graph er = GenerateErdosRenyi(kN, 90, 17);
+  std::vector<Edge> edges;
+  for (VertexId a = kU + 1; a < kV; ++a) {
+    for (VertexId b : er.Neighbors(a)) {
+      if (a < b && b < kV) edges.emplace_back(a, b);
+    }
+  }
+  const Graph base = Graph::FromEdges(kN, std::move(edges));
+  const std::string mono = WriteGraphFile(&scratch_, base);
+  const BitVector initial = RandomMaximalSet(base, 5);
+  ASSERT_TRUE(initial.Test(kU) && initial.Test(kV));
+
+  // kThreshold - 1 toggles of a-b, then the u-v insert: u's shard reaches
+  // the threshold with the insert, v's shard holds one entry.
+  std::vector<std::vector<EdgeUpdate>> batches(1);
+  for (uint64_t i = 0; i + 1 < kThreshold; ++i) {
+    batches[0].push_back(i % 2 == 0 ? EdgeUpdate::Insert(kA, kB)
+                                    : EdgeUpdate::Delete(kA, kB));
+  }
+  batches.push_back({EdgeUpdate::Insert(kU, kV)});
+  batches.push_back({EdgeUpdate::Delete(kU, kV)});
+  batches.push_back({EdgeUpdate::Insert(kU, kV)});
+  batches.push_back({EdgeUpdate::Delete(kU, kV)});
+
+  std::vector<Instance> instances;
+  MakeInstances(&scratch_, mono, initial, "onesided", kThreshold,
+                &instances);
+  for (Instance& inst : instances) {
+    const uint32_t num_shards = inst.mis.manifest().num_shards();
+    const uint32_t s = ShardOf(inst.manifest, kU);
+    ASSERT_EQ(ShardOf(inst.manifest, kA), s);
+    ASSERT_EQ(ShardOf(inst.manifest, kB), s);
+    if (num_shards > 1) {
+      ASSERT_NE(ShardOf(inst.manifest, kV), s);
+    }
+
+    IncrementalMis reference;
+    ASSERT_OK(reference.Initialize(mono, initial));
+    for (size_t step = 0; step < batches.size(); ++step) {
+      for (const EdgeUpdate& up : batches[step]) {
+        ASSERT_OK(up.op == EdgeDeltaOp::kInsert
+                      ? reference.InsertEdge(up.u, up.v)
+                      : reference.DeleteEdge(up.u, up.v));
+      }
+      ASSERT_OK(reference.Repair());
+      ASSERT_OK(inst.mis.ApplyBatch(batches[step]));
+      ASSERT_OK(inst.mis.Repair());
+      ASSERT_EQ(SetToVector(inst.mis.set()), SetToVector(reference.set()))
+          << inst.manifest << " step " << step;
+      if (step == 1) {
+        // Only u's shard compacted; v's copy of the insert is pending.
+        EXPECT_EQ(inst.mis.stats().shards_rewritten, 1u) << inst.manifest;
+        EXPECT_EQ(inst.mis.stats().pending_delta_entries,
+                  num_shards > 1 ? 1u : 0u)
+            << inst.manifest;
+      }
+    }
+    EXPECT_EQ(inst.mis.stats().shards_rewritten, 1u) << inst.manifest;
+    const std::vector<VertexId> expected = SetToVector(reference.set());
+    EXPECT_TRUE(reference.set().Test(kV));
+
+    // A restarted session replays the lopsided logs over the compacted
+    // base and repairs to the same set.
+    {
+      ShardedStreamingMis replay;
+      ASSERT_OK(replay.Initialize(inst.manifest, inst.mis.set(),
+                                  EnginePipelineOptions{}));
+      ASSERT_OK(replay.Repair());
+      EXPECT_EQ(SetToVector(replay.set()), expected) << inst.manifest;
+    }
+
+    // Folding everything in changes neither the set nor a repair of it,
+    // and a session restarted on the compacted store agrees.
+    ASSERT_OK(inst.mis.Compact(/*force=*/true));
+    EXPECT_EQ(inst.mis.stats().pending_delta_entries, 0u);
+    ASSERT_OK(inst.mis.Repair());
+    EXPECT_EQ(SetToVector(inst.mis.set()), expected) << inst.manifest;
+    ShardedStreamingMis restarted;
+    ASSERT_OK(restarted.Initialize(inst.manifest, inst.mis.set(),
+                                   EnginePipelineOptions{}));
+    ASSERT_OK(restarted.Repair());
+    EXPECT_EQ(SetToVector(restarted.set()), expected) << inst.manifest;
+    VerifyResult vr;
+    ASSERT_OK(
+        VerifyIndependentSetShardedFile(inst.manifest, restarted.set(), &vr));
+    EXPECT_TRUE(vr.independent);
+    EXPECT_TRUE(vr.maximal);
+  }
+}
+
+TEST_F(IncrementalStreamTest, MemoryFigureTracksTheLiveDelta) {
+  Graph g = GenerateErdosRenyi(400, 800, 2);
+  std::string mono = WriteGraphFile(&scratch_, g);
+  std::string manifest = NewPath("mem.sadjs");
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
+  ShardedStreamingMis mis;
+  ASSERT_OK(mis.Initialize(manifest, BitVector(400), EnginePipelineOptions{}));
+  const size_t idle = mis.CurrentMemoryBytes();
+
+  // 300 fresh inserted edges.
+  Random rng(8);
+  std::vector<EdgeUpdate> inserts;
+  std::set<Edge> seen;
+  while (inserts.size() < 300) {
+    const auto u = static_cast<VertexId>(rng.Uniform(400));
+    const auto v = static_cast<VertexId>(rng.Uniform(400));
+    if (u == v || !seen.insert({std::min(u, v), std::max(u, v)}).second) {
+      continue;
+    }
+    inserts.push_back(EdgeUpdate::Insert(u, v));
+  }
+  ASSERT_OK(mis.ApplyBatch(inserts));
+  const size_t loaded = mis.CurrentMemoryBytes();
+  // At least both directions of every live inserted edge, on top of the
+  // pending log mirror.
+  EXPECT_GE(loaded - idle,
+            300 * (2 * sizeof(VertexId) + sizeof(EdgeDeltaEntry)));
+  EXPECT_GE(mis.stats().peak_memory_bytes, loaded);
+
+  ASSERT_OK(mis.Compact(/*force=*/true));
+  const size_t compacted = mis.CurrentMemoryBytes();
+  EXPECT_LT(compacted, loaded);
+  EXPECT_LE(compacted, idle);
+  // The peak keeps the high-water mark.
+  EXPECT_GE(mis.stats().peak_memory_bytes, loaded);
+}
+
 TEST_F(IncrementalStreamTest, InsertBetweenSetMembersEvictsEagerly) {
   Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
   std::string mono = WriteGraphFile(&scratch_, g);

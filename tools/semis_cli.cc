@@ -8,17 +8,23 @@
 //   semis_cli shard    <graph.adj> <graph.sadjs> [--shards N]
 //   semis_cli stats    <graph.adj>
 //   semis_cli bound    <graph.adj>
-//   semis_cli solve    <graph.adj|graph.sadjs>
+//   semis_cli solve    <graph.adj|graph.sadjs> [--engine greedy|rounds]
 //                      [--algo baseline|greedy|onek|twok]
 //                      [--rounds R] [--shards N] [--threads T]
-//                      [--out set.txt] [--verify]
-//                      (--shards > 1 runs the WHOLE pipeline -- greedy and
+//                      [--out set.txt] [--verify] [--stats]
+//                      (--engine picks the initial-set engine: greedy, the
+//                       default, or the min-id rounds engine, which is
+//                       byte-identical at every shard and thread count;
+//                       --algo picks the swap stage and, for the greedy
+//                       engine, GREEDY vs BASELINE order.
+//                       --shards > 1 runs the WHOLE pipeline -- greedy and
 //                       the swap stage -- over shards with T threads; the
 //                       result is byte-identical for every thread count.
-//                       A SADJS manifest is consumed directly; when its
-//                       degree-sorted flag is cleared -- e.g. by a
-//                       compaction -- the sorted-order algorithms degrade
-//                       to BASELINE order and a warning is printed.)
+//                       A SADJS manifest is consumed directly; when it is
+//                       not degree-sorted -- the input was never sorted,
+//                       or a compaction cleared the flag -- the
+//                       sorted-order algorithms degrade to BASELINE order
+//                       and a warning says which.)
 //   semis_cli cover    <graph.adj> [--out cover.txt]
 //   semis_cli color    <graph.sadj> [--mis-rounds R]
 //   semis_cli update   <graph.adj|graph.sadjs> --stream <updates.txt>
@@ -269,19 +275,32 @@ bool IsManifestFile(const std::string& path) {
          (magic == kShardManifestMagic || magic == kEpochRootMagic);
 }
 
-// The degree-sorted-flag warning shared by solve/update/engine: a cleared
-// flag (typically a compaction that changed record degrees) silently
-// demotes GREEDY to BASELINE order until the store is re-sorted.
+// The degree-sorted-flag warning shared by solve/update/engine: an
+// unsorted store silently demotes GREEDY to BASELINE order until it is
+// re-sorted. Why it is unsorted comes from the store's layout: a legacy
+// root (SADM manifest) has never committed a compaction or re-sort epoch,
+// so its input was never degree-sorted; an unsorted journaled root (SEPR
+// pointer) has committed at least one compaction since its last re-sort,
+// and a compaction that changes record degrees clears the flag.
 // `resort_status` tells the operator where the background re-sort stands
 // ("scheduled ...", "not scheduled ...").
 void WarnNotDegreeSorted(const std::string& manifest_path,
                          const std::string& resort_status) {
+  uint32_t magic = 0;
+  const bool never_committed =
+      ProbeFileMagic(manifest_path, &magic).ok() &&
+      magic == kShardManifestMagic;
   std::fprintf(
       stderr,
-      "warning: %s is not degree-sorted (the flag was cleared, e.g. by a "
-      "compaction); sorted-order algorithms run in BASELINE order and set "
-      "quality may degrade. Background re-sort: %s.\n",
-      manifest_path.c_str(), resort_status.c_str());
+      "warning: %s is not degree-sorted (%s); sorted-order algorithms run "
+      "in BASELINE order and set quality may degrade. Background re-sort: "
+      "%s.\n",
+      manifest_path.c_str(),
+      never_committed ? "the input was never degree-sorted"
+                      : "the store was compacted since it was sharded or "
+                        "re-sorted, and a compaction that changes degrees "
+                        "clears the flag",
+      resort_status.c_str());
 }
 
 // What WarnNotDegreeSorted reports when no re-sort is coming.
