@@ -105,7 +105,7 @@ struct BlockDecodeEnv {
     // below must reproduce it, so a reordering/dropping bug aborts the
     // timing loop instead of producing a fast wrong number.
     reference_checksum = 0;
-    ShardedAdjacencyScanner scanner;
+    AdjacencyFileScanner scanner;
     SEMIS_BENCH_CHECK_OK(scanner.Open(manifest));
     VertexRecordView view;
     bool has_next = false;
@@ -251,7 +251,7 @@ void BM_SequentialShardDecode(benchmark::State& state) {
   BlockDecodeEnv& env = Env();
   uint64_t allocs = 0;
   for (auto _ : state) {
-    ShardedAdjacencyScanner scanner;
+    AdjacencyFileScanner scanner;
     Status s = scanner.Open(env.manifest);
     uint64_t checksum = 0, position = 0;
     const uint64_t before = g_allocations.load(std::memory_order_relaxed);

@@ -41,7 +41,7 @@ void BM_AdjacencyScan(benchmark::State& state) {
   for (auto _ : state) {
     AdjacencyFileScanner scanner;
     if (!scanner.Open(env.path).ok()) state.SkipWithError("open failed");
-    VertexRecord rec;
+    VertexRecordView rec;
     bool has_next = false;
     uint64_t sum = 0;
     while (scanner.Next(&rec, &has_next).ok() && has_next) {

@@ -25,7 +25,7 @@ Status RunTimeForwardMIS(const std::string& path,
   res.in_set.Resize(n);
   res.memory.Add("result-bitset", res.in_set.MemoryBytes());
 
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   uint64_t expected_id = 0;
   while (true) {

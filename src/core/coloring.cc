@@ -26,7 +26,7 @@ Status ComputeGreedyColoringFile(const std::string& adjacency_path,
     if (round > 0) SEMIS_RETURN_IF_ERROR(scanner.Rewind());
     // blocked[v]: v is adjacent to a vertex selected in THIS round.
     BitVector blocked(n);
-    VertexRecord rec;
+    VertexRecordView rec;
     bool has_next = false;
     uint64_t selected = 0;
     while (true) {
@@ -50,7 +50,7 @@ Status ComputeGreedyColoringFile(const std::string& adjacency_path,
   if (uncolored > 0) {
     SEMIS_RETURN_IF_ERROR(scanner.Rewind());
     std::vector<uint32_t> neighbor_colors;
-    VertexRecord rec;
+    VertexRecordView rec;
     bool has_next = false;
     while (true) {
       SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
@@ -89,7 +89,7 @@ Status VerifyColoringFile(const std::string& adjacency_path,
     return Status::InvalidArgument("color array size != vertex count");
   }
   uint64_t bad = 0;
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));

@@ -20,6 +20,24 @@
 
 namespace semis {
 
+namespace {
+
+// The engine's optional self-check: one verify scan of the store the set
+// was solved on (a SADJ file or a store root).
+Status VerifySolvedSet(const std::string& path, const BitVector& set) {
+  VerifyResult vr;
+  SEMIS_RETURN_IF_ERROR(VerifyIndependentSetFile(path, set, &vr));
+  if (!vr.independent) {
+    return Status::Corruption("solver produced a non-independent set");
+  }
+  if (!vr.maximal) {
+    return Status::Corruption("solver produced a non-maximal set");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status MisEngine::IntermediateDir(std::string* dir) {
   if (inter_dir_.empty()) {
     if (!options_.scratch_dir.empty()) {
@@ -161,14 +179,7 @@ Status MisEngine::OpenMonolithic(const std::string& adjacency_path) {
                 res.swap.peak_memory_bytes, sort_memory.PeakBytes()});
 
   if (options_.verify) {
-    VerifyResult vr;
-    SEMIS_RETURN_IF_ERROR(VerifyIndependentSetFile(work_path, res.set, &vr));
-    if (!vr.independent) {
-      return Status::Corruption("solver produced a non-independent set");
-    }
-    if (!vr.maximal) {
-      return Status::Corruption("solver produced a non-maximal set");
-    }
+    SEMIS_RETURN_IF_ERROR(VerifySolvedSet(work_path, res.set));
   }
 
   res.seconds = timer.ElapsedSeconds();
@@ -211,15 +222,7 @@ Status MisEngine::OpenShardedInternal(const std::string& manifest_path,
                 res->swap.peak_memory_bytes});
 
   if (options_.verify) {
-    VerifyResult vr;
-    SEMIS_RETURN_IF_ERROR(
-        VerifyIndependentSetShardedFile(manifest_path, res->set, &vr));
-    if (!vr.independent) {
-      return Status::Corruption("solver produced a non-independent set");
-    }
-    if (!vr.maximal) {
-      return Status::Corruption("solver produced a non-maximal set");
-    }
+    SEMIS_RETURN_IF_ERROR(VerifySolvedSet(manifest_path, res->set));
   }
 
   res->seconds = timer.ElapsedSeconds();
@@ -233,9 +236,10 @@ Status MisEngine::Open(const std::string& path) {
     return Status::InvalidArgument("engine is already open; Close() first");
   }
   open_result_ = SolveResult();
-  // Route on the file's magic: a file that CLAIMS to be a manifest but
-  // fails to parse must surface the manifest reader's diagnosis, not a
-  // misleading "not an adjacency file" from the monolithic scanner.
+  // Route on the file's magic: a store root runs the shard pipeline on
+  // its shards as they are; anything else goes to the sequential
+  // pipeline, which may sort it first (and whose scanner rejects a file
+  // that is no adjacency file).
   bool is_manifest = false;
   {
     uint32_t magic = 0;

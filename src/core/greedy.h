@@ -41,15 +41,15 @@ inline void GreedyCommitRecord(const VertexRecordView& rec,
   }
 }
 
-/// The scan skeleton of Algorithm 1, shared by the monolithic path
-/// (RunGreedyWithStates) and both paths of the sharded executor: the
-/// degree-sorted gate (one error text everywhere), the O(|V|) state-array
-/// init (lines 1-2), and one pass applying GreedyCommitRecord to every
-/// record. `Source` is any open record source exposing header() and the
-/// view-API Next(&view, &has_next) (graph/record_block.h) -- the paths
-/// differ only in where records come from: the monolithic scanner, the
-/// sequential sharded scanner, or the block-decode cursor. `path` is
-/// quoted in the rejection error.
+/// The scan skeleton of Algorithm 1, shared by the sequential path
+/// (RunGreedyWithStates, which the sharded executor also runs at 1
+/// thread) and the sharded executor's pipelined path: the degree-sorted
+/// gate (one error text everywhere), the O(|V|) state-array init (lines
+/// 1-2), and one pass applying GreedyCommitRecord to every record.
+/// `Source` is any open record source exposing header() and the view-API
+/// Next(&view, &has_next) (graph/record_block.h) -- the paths differ only
+/// in where records come from: the scanner of any store, or the
+/// block-decode cursor. `path` is quoted in the rejection error.
 template <typename Source>
 Status RunGreedyScan(Source* source, const std::string& path,
                      const GreedyOptions& options, AlgoResult* res,

@@ -87,7 +87,7 @@ Status IncrementalMis::DeleteEdge(VertexId u, VertexId v) {
 Status IncrementalMis::Repair() {
   AdjacencyFileScanner scanner(nullptr);
   SEMIS_RETURN_IF_ERROR(scanner.Open(path_));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));

@@ -344,7 +344,7 @@ Status ShardedStreamingMis::Repair() {
   }
   if (num_threads <= 1) {
     // The sequential reference path: a plain forward scan over the shards.
-    ShardedAdjacencyScanner scanner(&stats_.io);
+    AdjacencyFileScanner scanner(&stats_.io);
     SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path_));
     SEMIS_RETURN_IF_ERROR(RepairScan(&scanner, &added));
   } else {

@@ -87,7 +87,7 @@ class OneKSwapRun {
 Status OneKSwapRun::InitialLabelScan(AdjacencyFileScanner* scanner) {
   // Lines 1-3 of Algorithm 2: a non-IS vertex with exactly one IS
   // neighbor e becomes A with ISN(u) = e.
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));
@@ -116,7 +116,7 @@ Status OneKSwapRun::PreSwapScan(AdjacencyFileScanner* scanner,
   //   (i)  a P neighbor wins the race -> become C;
   //   (ii) a fresh 1-2 swap skeleton -> become P, demote w to R;
   //   (iii) our IS vertex already left (state R) -> join as P.
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));
@@ -184,7 +184,7 @@ Status OneKSwapRun::PostSwapScan(AdjacencyFileScanner* scanner,
   for (uint64_t v = 0; v < n_; ++v) {
     if (state_[v] == VState::kI) CounterReset(static_cast<VertexId>(v));
   }
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));
@@ -249,7 +249,7 @@ Status OneKSwapRun::CompletionScan(AdjacencyFileScanner* scanner,
   // vertex with no IS neighbor; doing it in scan order keeps independence
   // (once added, later vertices see the I state).
   *added = 0;
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));

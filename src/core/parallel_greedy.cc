@@ -12,38 +12,33 @@ Status RunParallelGreedyWithStates(const std::string& manifest_path,
                                    const ParallelGreedyOptions& options,
                                    AlgoResult* result,
                                    std::vector<VState>* states) {
-  WallTimer timer;
-  AlgoResult res;
-
   uint32_t num_threads = options.pipeline.num_threads;
   if (num_threads == 0) {
     num_threads = std::thread::hardware_concurrency();
     if (num_threads == 0) num_threads = 1;
   }
-
-  std::vector<VState> state;
   if (num_threads <= 1) {
-    // Sequential reference path: one forward scan over the shards in
-    // manifest order, exactly like RunGreedy over the monolithic file.
-    ShardedAdjacencyScanner scanner(&res.io);
-    SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path));
-    SEMIS_RETURN_IF_ERROR(
-        RunGreedyScan(&scanner, manifest_path, options.greedy, &res, &state));
-  } else {
-    ThreadPool pool(num_threads);
-    ManifestOrderedShardCursor cursor(&res.io);
-    BlockRingOptions ring;
-    ring.block_bytes = options.pipeline.decode_block_bytes;
-    ring.max_buffered_bytes = options.pipeline.max_buffered_bytes;
-    SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path, &pool, ring));
-    SEMIS_RETURN_IF_ERROR(
-        RunGreedyScan(&cursor, manifest_path, options.greedy, &res, &state));
-    SEMIS_RETURN_IF_ERROR(cursor.Close());
-    // The prefetch window's decoded shards are pipeline memory on top of
-    // the O(|V|) state array; Set-then-zero records the peak.
-    res.memory.Set("shard-buffers", cursor.peak_buffered_bytes());
-    res.memory.Set("shard-buffers", 0);
+    // Sequential reference path: the plain greedy scan, which reads the
+    // shards in manifest order.
+    return RunGreedyWithStates(manifest_path, options.greedy, result, states);
   }
+
+  WallTimer timer;
+  AlgoResult res;
+  std::vector<VState> state;
+  ThreadPool pool(num_threads);
+  ManifestOrderedShardCursor cursor(&res.io);
+  BlockRingOptions ring;
+  ring.block_bytes = options.pipeline.decode_block_bytes;
+  ring.max_buffered_bytes = options.pipeline.max_buffered_bytes;
+  SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path, &pool, ring));
+  SEMIS_RETURN_IF_ERROR(
+      RunGreedyScan(&cursor, manifest_path, options.greedy, &res, &state));
+  SEMIS_RETURN_IF_ERROR(cursor.Close());
+  // The prefetch window's decoded shards are pipeline memory on top of
+  // the O(|V|) state array; Set-then-zero records the peak.
+  res.memory.Set("shard-buffers", cursor.peak_buffered_bytes());
+  res.memory.Set("shard-buffers", 0);
 
   ExtractIndependentSet(state, &res.in_set, &res.set_size);
   res.memory.Add("result-bitset", res.in_set.MemoryBytes());

@@ -217,7 +217,7 @@ Status RunReferenceRounds(const std::string& manifest_path, uint64_t n,
     ++round;
     WallTimer round_timer;
     {
-      ShardedAdjacencyScanner scanner(&res->io);
+      AdjacencyFileScanner scanner(&res->io);
       SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path));
       VertexRecordView rec;
       bool has_next = false;
@@ -230,7 +230,7 @@ Status RunReferenceRounds(const std::string& manifest_path, uint64_t n,
     uint64_t round_winners = 0;
     uint64_t survivors = 0;
     {
-      ShardedAdjacencyScanner scanner(&res->io);
+      AdjacencyFileScanner scanner(&res->io);
       SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path));
       VertexRecordView rec;
       bool has_next = false;

@@ -61,7 +61,7 @@ class TwoKSwapRun {
   }
 
   // Marks u's neighborhood in the stamp array; call once per record.
-  void StampNeighbors(const VertexRecord& rec) {
+  void StampNeighbors(const VertexRecordView& rec) {
     if (++token_ == 0) {  // wrapped: clear and restart
       std::fill(stamp_.begin(), stamp_.end(), 0);
       token_ = 1;
@@ -78,7 +78,7 @@ class TwoKSwapRun {
 
   Status InitialLabelScan(AdjacencyFileScanner* scanner);
   Status PreSwapScan(AdjacencyFileScanner* scanner, RoundStats* round);
-  void PreSwapVertex(const VertexRecord& rec, RoundStats* round);
+  void PreSwapVertex(const VertexRecordView& rec, RoundStats* round);
   Status SwapScan(AdjacencyFileScanner* scanner, RoundStats* round,
                   bool* can_swap);
   Status PostSwapScan(AdjacencyFileScanner* scanner, RoundStats* round);
@@ -130,7 +130,7 @@ class TwoKSwapRun {
 
 Status TwoKSwapRun::InitialLabelScan(AdjacencyFileScanner* scanner) {
   // Algorithm 3 lines 1-3: one or two IS neighbors -> A.
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));
@@ -154,7 +154,7 @@ Status TwoKSwapRun::InitialLabelScan(AdjacencyFileScanner* scanner) {
   return Status::OK();
 }
 
-void TwoKSwapRun::PreSwapVertex(const VertexRecord& rec, RoundStats* round) {
+void TwoKSwapRun::PreSwapVertex(const VertexRecordView& rec, RoundStats* round) {
   // Algorithm 4, in order:
   //   line 1-2 : add a swap-candidate pair to SC(w1, w2) if one exists;
   //   line 3-4 : conflict (a P neighbor) -> C;
@@ -304,7 +304,7 @@ void TwoKSwapRun::PreSwapVertex(const VertexRecord& rec, RoundStats* round) {
 Status TwoKSwapRun::PreSwapScan(AdjacencyFileScanner* scanner,
                                 RoundStats* round) {
   ClearScStructures();
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));
@@ -341,7 +341,7 @@ Status TwoKSwapRun::SwapScan(AdjacencyFileScanner* scanner, RoundStats* round,
   // committed I neighbor, so the committed set stays independent. (A
   // pre-existing I neighbor is impossible: an A vertex's only IS
   // neighbors are its ISN entries, which are R by now.)
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));
@@ -383,7 +383,7 @@ Status TwoKSwapRun::PostSwapScan(AdjacencyFileScanner* scanner,
   for (uint64_t v = 0; v < n_; ++v) {
     if (state_[v] == VState::kI) CounterReset(static_cast<VertexId>(v));
   }
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));
@@ -434,7 +434,7 @@ Status TwoKSwapRun::PostSwapScan(AdjacencyFileScanner* scanner,
 Status TwoKSwapRun::CompletionScan(AdjacencyFileScanner* scanner) {
   // Same completion rule as one-k-swap (see one_k_swap.cc): after
   // convergence, any vertex with no IS neighbor can join safely.
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));

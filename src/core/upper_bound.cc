@@ -15,7 +15,7 @@ Status ComputeIndependenceUpperBoundFile(const std::string& adjacency_path,
   SEMIS_RETURN_IF_ERROR(scanner.Open(adjacency_path));
   BitVector visited(scanner.header().num_vertices);
   uint64_t b = 0;
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));

@@ -1,20 +1,15 @@
 #include "core/verify.h"
 
 #include "graph/adjacency_file.h"
-#include "graph/sharded_adjacency_file.h"
 
 namespace semis {
 
-namespace {
-
-// One streaming verification pass; `Source` is any open record source
-// exposing header() and the view-API Next(&view, &has_next) -- the
-// monolithic and the sharded scanner yield the same record stream, so the
-// check is shared.
-template <typename Source>
-Status VerifyScan(Source* scanner, const BitVector& set,
-                  VerifyResult* result) {
-  if (scanner->header().num_vertices != set.size()) {
+Status VerifyIndependentSetFile(const std::string& adjacency_path,
+                                const BitVector& set, VerifyResult* result,
+                                IoStats* stats) {
+  AdjacencyFileScanner scanner(stats);
+  SEMIS_RETURN_IF_ERROR(scanner.Open(adjacency_path));
+  if (scanner.header().num_vertices != set.size()) {
     return Status::InvalidArgument("set size != graph vertex count");
   }
   VerifyResult r;
@@ -23,7 +18,7 @@ Status VerifyScan(Source* scanner, const BitVector& set,
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    SEMIS_RETURN_IF_ERROR(scanner->Next(&rec, &has_next));
+    SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
     if (!has_next) break;
     const bool in = set.Test(rec.id);
     bool has_set_neighbor = false;
@@ -46,22 +41,10 @@ Status VerifyScan(Source* scanner, const BitVector& set,
   return Status::OK();
 }
 
-}  // namespace
-
-Status VerifyIndependentSetFile(const std::string& adjacency_path,
-                                const BitVector& set, VerifyResult* result,
-                                IoStats* stats) {
-  AdjacencyFileScanner scanner(stats);
-  SEMIS_RETURN_IF_ERROR(scanner.Open(adjacency_path));
-  return VerifyScan(&scanner, set, result);
-}
-
 Status VerifyIndependentSetShardedFile(const std::string& manifest_path,
                                        const BitVector& set,
                                        VerifyResult* result, IoStats* stats) {
-  ShardedAdjacencyScanner scanner(stats);
-  SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path));
-  return VerifyScan(&scanner, set, result);
+  return VerifyIndependentSetFile(manifest_path, set, result, stats);
 }
 
 VerifyResult VerifyIndependentSet(const Graph& graph, const BitVector& set) {

@@ -25,15 +25,14 @@ struct VerifyResult {
   VertexId witness_v = kInvalidVertex;
 };
 
-/// Verifies `set` against the graph stored at `adjacency_path` with one
+/// Verifies `set` against the graph stored at `adjacency_path` -- a SADJ
+/// file or a store root (AdjacencyFileScanner::Open) -- with one
 /// sequential scan and O(|V|) bits of memory.
 Status VerifyIndependentSetFile(const std::string& adjacency_path,
                                 const BitVector& set, VerifyResult* result,
                                 IoStats* stats = nullptr);
 
-/// As above for a sharded adjacency file (SADJS manifest): one pass over
-/// the shards in manifest order. Lets sharded pipelines (and the
-/// streaming update CLI) verify without materializing a monolithic copy.
+/// Same as VerifyIndependentSetFile, under the name sharded callers use.
 Status VerifyIndependentSetShardedFile(const std::string& manifest_path,
                                        const BitVector& set,
                                        VerifyResult* result,

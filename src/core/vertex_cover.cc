@@ -29,7 +29,7 @@ Status VerifyVertexCoverFile(const std::string& adjacency_path,
     return Status::InvalidArgument("cover size != graph vertex count");
   }
   uint64_t violations = 0;
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));

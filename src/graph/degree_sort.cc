@@ -23,7 +23,7 @@ Status BuildDegreeSortedAdjacencyFile(const std::string& input_path,
 
   // Key = (degree << 32) | id: ascending degree, ties by id. The id rides
   // in the key's low bits so the payload is just the neighbor list.
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));

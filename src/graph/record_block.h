@@ -30,7 +30,6 @@ inline constexpr size_t kDefaultDecodeBlockBytes = 256 * 1024;
 
 /// One vertex record viewed inside a block: `neighbors` points into the
 /// block's arena and stays valid until the block is cleared or released.
-/// Field names match VertexRecord so generic scan code accepts either.
 struct VertexRecordView {
   VertexId id = 0;
   uint32_t degree = 0;

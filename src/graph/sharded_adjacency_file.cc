@@ -5,8 +5,6 @@
 namespace semis {
 
 namespace {
-constexpr uint32_t kManifestMagic = kShardManifestMagic;
-constexpr uint32_t kShardMagic = 0x53444153u;  // 'SADS' little-endian
 constexpr uint32_t kVersion = 1;
 
 // Record cost in u32 words: id + degree + neighbors. Shards are balanced
@@ -26,7 +24,7 @@ Status ReadShardedAdjacencyManifest(const std::string& path,
   uint32_t magic = 0, version = 0;
   SEMIS_RETURN_IF_ERROR(reader.ReadU32(&magic));
   SEMIS_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (magic != kManifestMagic) {
+  if (magic != kShardManifestMagic) {
     return Status::Corruption("bad magic in '" + path +
                               "': not a shard manifest");
   }
@@ -94,7 +92,7 @@ Status WriteShardedAdjacencyManifest(const std::string& path,
   const std::string tmp = path + ".tmp";
   SequentialFileWriter writer(stats);
   SEMIS_RETURN_IF_ERROR(writer.Open(tmp));
-  SEMIS_RETURN_IF_ERROR(writer.AppendU32(kManifestMagic));
+  SEMIS_RETURN_IF_ERROR(writer.AppendU32(kShardManifestMagic));
   SEMIS_RETURN_IF_ERROR(writer.AppendU32(kVersion));
   SEMIS_RETURN_IF_ERROR(writer.AppendU64(manifest.header.num_vertices));
   SEMIS_RETURN_IF_ERROR(writer.AppendU64(manifest.header.num_directed_edges));
@@ -113,7 +111,7 @@ Status WriteShardedAdjacencyManifest(const std::string& path,
 
 Status WriteAdjacencyShardHeader(SequentialFileWriter* writer, uint32_t index,
                                  uint64_t num_vertices) {
-  SEMIS_RETURN_IF_ERROR(writer->AppendU32(kShardMagic));
+  SEMIS_RETURN_IF_ERROR(writer->AppendU32(kAdjacencyShardMagic));
   SEMIS_RETURN_IF_ERROR(writer->AppendU32(kVersion));
   SEMIS_RETURN_IF_ERROR(writer->AppendU32(index));
   SEMIS_RETURN_IF_ERROR(writer->AppendU32(0));  // reserved
@@ -143,18 +141,15 @@ Status ShardedAdjacencyFileWriter::Open(const std::string& manifest_path,
         std::to_string(kMaxAdjacencyShards));
   }
   manifest_path_ = manifest_path;
-  declared_vertices_ = num_vertices;
-  declared_directed_edges_ = num_directed_edges;
-  declared_max_degree_ = max_degree;
-  declared_flags_ = flags;
+  encoder_.Declare(num_vertices, num_directed_edges, max_degree);
+  header_ = AdjacencyFileHeader{num_vertices, num_directed_edges, flags,
+                                max_degree};
   num_shards_ = num_shards;
   const uint64_t total_words =
       2 * num_vertices + num_directed_edges;  // sum of RecordWords
   shard_budget_words_ = (total_words + num_shards - 1) / num_shards;
   if (shard_budget_words_ == 0) shard_budget_words_ = 1;
   finished_shards_.clear();
-  appended_vertices_ = 0;
-  appended_edges_ = 0;
   return StartShard(0);
 }
 
@@ -163,7 +158,7 @@ Status ShardedAdjacencyFileWriter::StartShard(uint32_t index) {
   shard_words_ = 0;
   current_info_ = ShardInfo();
   SEMIS_RETURN_IF_ERROR(writer_.Open(ShardFilePath(manifest_path_, index)));
-  return WriteAdjacencyShardHeader(&writer_, index, declared_vertices_);
+  return WriteAdjacencyShardHeader(&writer_, index, header_.num_vertices);
 }
 
 Status ShardedAdjacencyFileWriter::CloseShard() {
@@ -175,14 +170,6 @@ Status ShardedAdjacencyFileWriter::CloseShard() {
 Status ShardedAdjacencyFileWriter::AppendVertex(VertexId id,
                                                 const VertexId* neighbors,
                                                 uint32_t degree) {
-  if (id >= declared_vertices_) {
-    return Status::InvalidArgument("vertex id " + std::to_string(id) +
-                                   " out of range");
-  }
-  if (degree > declared_max_degree_) {
-    return Status::InvalidArgument(
-        "vertex degree exceeds declared max_degree");
-  }
   const uint64_t words = RecordWords(degree);
   // Roll to the next shard when this record would overflow the budget --
   // but never roll an empty shard, and keep the last shard open for the
@@ -193,17 +180,10 @@ Status ShardedAdjacencyFileWriter::AppendVertex(VertexId id,
     SEMIS_RETURN_IF_ERROR(CloseShard());
     SEMIS_RETURN_IF_ERROR(StartShard(current_shard_ + 1));
   }
-  SEMIS_RETURN_IF_ERROR(writer_.AppendU32(id));
-  SEMIS_RETURN_IF_ERROR(writer_.AppendU32(degree));
-  if (degree > 0) {
-    SEMIS_RETURN_IF_ERROR(
-        writer_.Append(neighbors, sizeof(VertexId) * degree));
-  }
+  SEMIS_RETURN_IF_ERROR(encoder_.Append(&writer_, id, neighbors, degree));
   shard_words_ += words;
   current_info_.num_records++;
   current_info_.num_directed_edges += degree;
-  appended_vertices_++;
-  appended_edges_ += degree;
   return Status::OK();
 }
 
@@ -214,179 +194,11 @@ Status ShardedAdjacencyFileWriter::Finish() {
     SEMIS_RETURN_IF_ERROR(StartShard(current_shard_ + 1));
     SEMIS_RETURN_IF_ERROR(CloseShard());
   }
-  if (appended_vertices_ != declared_vertices_) {
-    return Status::InvalidArgument(
-        "vertex count mismatch: declared " +
-        std::to_string(declared_vertices_) + ", appended " +
-        std::to_string(appended_vertices_));
-  }
-  if (appended_edges_ != declared_directed_edges_) {
-    return Status::InvalidArgument(
-        "edge count mismatch: declared " +
-        std::to_string(declared_directed_edges_) + ", appended " +
-        std::to_string(appended_edges_));
-  }
+  SEMIS_RETURN_IF_ERROR(encoder_.CheckTotals());
   ShardedAdjacencyManifest manifest;
-  manifest.header.num_vertices = declared_vertices_;
-  manifest.header.num_directed_edges = declared_directed_edges_;
-  manifest.header.flags = declared_flags_;
-  manifest.header.max_degree = declared_max_degree_;
+  manifest.header = header_;
   manifest.shards = finished_shards_;
   return WriteShardedAdjacencyManifest(manifest_path_, manifest, stats_);
-}
-
-AdjacencyShardReader::AdjacencyShardReader(IoStats* stats)
-    : stats_(stats), reader_(stats) {}
-
-Status AdjacencyShardReader::Open(const std::string& manifest_path,
-                                  const ShardedAdjacencyManifest& manifest,
-                                  uint32_t index) {
-  if (index >= manifest.num_shards()) {
-    return Status::InvalidArgument("shard index out of range");
-  }
-  path_ = ShardFilePath(manifest_path, index);
-  num_vertices_ = manifest.header.num_vertices;
-  max_degree_ = manifest.header.max_degree;
-  num_records_ = manifest.shards[index].num_records;
-  num_edges_ = manifest.shards[index].num_directed_edges;
-  records_seen_ = 0;
-  edges_seen_ = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.Open(path_));
-  uint32_t magic = 0, version = 0, file_index = 0, reserved = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&magic));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&version));
-  if (magic != kShardMagic) {
-    return Status::Corruption("bad magic in '" + path_ +
-                              "': not an adjacency shard");
-  }
-  if (version != kVersion) {
-    return Status::NotSupported("adjacency shard version " +
-                                std::to_string(version) + " not supported");
-  }
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&file_index));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&reserved));
-  if (file_index != index) {
-    return Status::Corruption("shard index mismatch in '" + path_ + "'");
-  }
-  uint64_t hint_records = 0, hint_edges = 0, global_vertices = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU64(&hint_records));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU64(&hint_edges));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU64(&global_vertices));
-  if (global_vertices != num_vertices_) {
-    return Status::Corruption("shard '" + path_ +
-                              "' disagrees with manifest vertex count");
-  }
-  return Status::OK();
-}
-
-Status AdjacencyShardReader::NextInto(RecordBlock* block, bool* has_next) {
-  if (records_seen_ == num_records_) {
-    if (!reader_.AtEof()) {
-      return Status::Corruption("trailing bytes after last record in '" +
-                                path_ + "'");
-    }
-    if (edges_seen_ != num_edges_) {
-      return Status::Corruption(
-          "shard '" + path_ + "' holds " + std::to_string(edges_seen_) +
-          " directed edges but the manifest declares " +
-          std::to_string(num_edges_));
-    }
-    *has_next = false;
-    return Status::OK();
-  }
-  if (reader_.AtEof()) {
-    return Status::Corruption(
-        "shard '" + path_ + "' truncated: expected " +
-        std::to_string(num_records_) + " records, found " +
-        std::to_string(records_seen_));
-  }
-  uint32_t id = 0, degree = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&id));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&degree));
-  if (id >= num_vertices_) {
-    return Status::Corruption("record id out of range in '" + path_ + "'");
-  }
-  if (degree > max_degree_) {
-    return Status::Corruption("record degree exceeds header max_degree in '" +
-                              path_ + "'");
-  }
-  // Decode straight into the block arena; a failed read or a bad neighbor
-  // rolls the staged record back so the block never exposes a half-record.
-  VertexId* dst = block->BeginRecord(id, degree);
-  if (degree > 0) {
-    Status read = reader_.ReadExact(dst, sizeof(VertexId) * degree);
-    if (!read.ok()) {
-      block->AbandonRecord();
-      return read;
-    }
-    for (uint32_t i = 0; i < degree; ++i) {
-      if (dst[i] >= num_vertices_) {
-        block->AbandonRecord();
-        return Status::Corruption("neighbor id out of range in '" + path_ +
-                                  "'");
-      }
-    }
-  }
-  if (edges_seen_ + degree > num_edges_) {
-    block->AbandonRecord();
-    return Status::Corruption("more edges than declared in '" + path_ + "'");
-  }
-  block->CommitRecord();
-  records_seen_++;
-  edges_seen_ += degree;
-  if (stats_ != nullptr) stats_->records_decoded++;
-  *has_next = true;
-  return Status::OK();
-}
-
-Status AdjacencyShardReader::Next(VertexRecordView* view, bool* has_next) {
-  scratch_block_.Clear();  // keeps its arena capacity across records
-  SEMIS_RETURN_IF_ERROR(NextInto(&scratch_block_, has_next));
-  if (*has_next) *view = scratch_block_.view(0);
-  return Status::OK();
-}
-
-Status AdjacencyShardReader::Close() { return reader_.Close(); }
-
-ShardedAdjacencyScanner::ShardedAdjacencyScanner(IoStats* stats)
-    : stats_(stats), reader_(stats) {}
-
-Status ShardedAdjacencyScanner::Open(const std::string& manifest_path) {
-  // The path may be a journaled store root (SEPR); shard paths must then
-  // derive from the resolved epoch manifest, not the root.
-  ResolvedShardStore resolved;
-  SEMIS_RETURN_IF_ERROR(ResolveShardStore(manifest_path, &resolved, stats_));
-  manifest_path_ = resolved.manifest_path;
-  SEMIS_RETURN_IF_ERROR(
-      ReadShardedAdjacencyManifest(manifest_path_, &manifest_, stats_));
-  if (stats_ != nullptr) stats_->sequential_scans++;
-  current_shard_ = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.Open(manifest_path_, manifest_, 0));
-  shard_open_ = true;
-  return Status::OK();
-}
-
-Status ShardedAdjacencyScanner::Next(VertexRecordView* view, bool* has_next) {
-  while (true) {
-    if (!shard_open_) {
-      *has_next = false;
-      return Status::OK();
-    }
-    bool shard_has_next = false;
-    SEMIS_RETURN_IF_ERROR(reader_.Next(view, &shard_has_next));
-    if (shard_has_next) {
-      *has_next = true;
-      return Status::OK();
-    }
-    SEMIS_RETURN_IF_ERROR(reader_.Close());
-    shard_open_ = false;
-    if (current_shard_ + 1 < manifest_.num_shards()) {
-      current_shard_++;
-      SEMIS_RETURN_IF_ERROR(
-          reader_.Open(manifest_path_, manifest_, current_shard_));
-      shard_open_ = true;
-    }
-  }
 }
 
 ManifestOrderedShardCursor::ManifestOrderedShardCursor(IoStats* stats)
@@ -666,7 +478,7 @@ Status ShardAdjacencyFile(const std::string& input_path,
   SEMIS_RETURN_IF_ERROR(writer.Open(manifest_path, h.num_vertices,
                                     h.num_directed_edges, h.max_degree,
                                     h.flags, num_shards));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));

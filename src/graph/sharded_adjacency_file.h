@@ -21,9 +21,11 @@
 //   u64 num_vertices  (global; record ids are global ids)
 //   then records exactly as in SADJ: u32 id  u32 degree  u32 neighbor[deg]
 //
-// Every reader below is forward-only, matching the semi-external model;
-// the parallel swap executor hands each worker its own AdjacencyShardReader
-// so shards can be scanned concurrently without shared reader state.
+// The records are read through adjacency_file.h: AdjacencyFileScanner
+// walks the shards in order, and the parallel executors hand each worker
+// its own AdjacencyShardReader so shards can be scanned concurrently
+// without shared reader state. ManifestOrderedShardCursor below decodes
+// shards ahead of one consumer through the same reader.
 #ifndef SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 
@@ -55,21 +57,8 @@ inline constexpr uint32_t kMaxAdjacencyShards = 4096;
 /// instead of guessing from a parse failure.
 inline constexpr uint32_t kShardManifestMagic = 0x4D444153u;  // 'SADM'
 
-/// Per-shard totals recorded in the manifest.
-struct ShardInfo {
-  uint64_t num_records = 0;
-  uint64_t num_directed_edges = 0;
-};
-
-/// Parsed manifest of a sharded adjacency file.
-struct ShardedAdjacencyManifest {
-  /// Global totals and flags, identical in meaning to the monolithic
-  /// header (kAdjFlagDegreeSorted refers to the global record order).
-  AdjacencyFileHeader header;
-  std::vector<ShardInfo> shards;
-
-  uint32_t num_shards() const { return static_cast<uint32_t>(shards.size()); }
-};
+/// Magic of one SADS shard file.
+inline constexpr uint32_t kAdjacencyShardMagic = 0x53444153u;  // 'SADS'
 
 /// Path of shard `index` of the sharded file rooted at `manifest_path`.
 std::string ShardFilePath(const std::string& manifest_path, uint32_t index);
@@ -123,97 +112,15 @@ class ShardedAdjacencyFileWriter {
 
   IoStats* stats_;
   SequentialFileWriter writer_;
+  AdjacencyRecordEncoder encoder_;
   std::string manifest_path_;
-  uint64_t declared_vertices_ = 0;
-  uint64_t declared_directed_edges_ = 0;
-  uint32_t declared_max_degree_ = 0;
-  uint32_t declared_flags_ = 0;
+  AdjacencyFileHeader header_;
   uint32_t num_shards_ = 0;
   uint64_t shard_budget_words_ = 0;  // u32 words of records per shard
   uint32_t current_shard_ = 0;
   uint64_t shard_words_ = 0;
   ShardInfo current_info_;
   std::vector<ShardInfo> finished_shards_;
-  uint64_t appended_vertices_ = 0;
-  uint64_t appended_edges_ = 0;
-};
-
-/// Forward-only reader of one shard. Each worker of a parallel scan owns
-/// one reader (and one IoStats) so no reader state is shared.
-class AdjacencyShardReader {
- public:
-  /// `stats` may be null.
-  explicit AdjacencyShardReader(IoStats* stats = nullptr);
-
-  /// Opens shard `index` of the sharded file rooted at `manifest_path`,
-  /// validating the shard header against `manifest`. Does not bump
-  /// IoStats::sequential_scans -- a "scan" of a sharded file is one pass
-  /// over all shards and is counted by the caller.
-  Status Open(const std::string& manifest_path,
-              const ShardedAdjacencyManifest& manifest, uint32_t index);
-
-  /// Decodes the next record straight into `block`'s arena (the zero-copy
-  /// hot path: no intermediate neighbor buffer). On success the record is
-  /// committed to the block; on any error the block is left exactly as it
-  /// was (a failed decode never publishes a half-record). `*has_next` is
-  /// false after the last record, with nothing appended.
-  /// Validation mirrors AdjacencyFileScanner::Next.
-  Status NextInto(RecordBlock* block, bool* has_next);
-
-  /// Reads the next record as a view into a reader-owned block
-  /// (invalidated by the next call); `*has_next` is false after the last
-  /// record.
-  Status Next(VertexRecordView* view, bool* has_next);
-
-  /// Compatibility flavor of Next for VertexRecord consumers.
-  Status Next(VertexRecord* rec, bool* has_next) {
-    return NextRecordFromView(this, rec, has_next);
-  }
-
-  /// Closes the underlying file. Safe to call twice.
-  Status Close();
-
- private:
-  IoStats* stats_;
-  SequentialFileReader reader_;
-  std::string path_;
-  uint64_t num_vertices_ = 0;  // global, for id validation
-  uint32_t max_degree_ = 0;
-  uint64_t num_records_ = 0;
-  uint64_t num_edges_ = 0;
-  uint64_t records_seen_ = 0;
-  uint64_t edges_seen_ = 0;
-  RecordBlock scratch_block_;  // backs the per-record Next flavors
-};
-
-/// Forward-only reader over all shards in index order: yields exactly the
-/// record stream of the equivalent monolithic file. Used by tests and by
-/// sequential consumers that receive a sharded input.
-class ShardedAdjacencyScanner {
- public:
-  explicit ShardedAdjacencyScanner(IoStats* stats = nullptr);
-
-  /// Opens the manifest. Counts one sequential scan.
-  Status Open(const std::string& manifest_path);
-
-  const ShardedAdjacencyManifest& manifest() const { return manifest_; }
-  const AdjacencyFileHeader& header() const { return manifest_.header; }
-
-  /// Next record in global order, crossing shard boundaries transparently.
-  Status Next(VertexRecordView* view, bool* has_next);
-
-  /// Compatibility flavor of Next for VertexRecord consumers.
-  Status Next(VertexRecord* rec, bool* has_next) {
-    return NextRecordFromView(this, rec, has_next);
-  }
-
- private:
-  IoStats* stats_;
-  std::string manifest_path_;
-  ShardedAdjacencyManifest manifest_;
-  AdjacencyShardReader reader_;
-  uint32_t current_shard_ = 0;
-  bool shard_open_ = false;
 };
 
 /// Geometry and budget of the cursor's record-granular block ring.
@@ -238,7 +145,7 @@ struct BlockRingOptions {
 };
 
 /// Manifest-ordered multi-shard cursor: yields exactly the record stream
-/// of the equivalent monolithic file (like ShardedAdjacencyScanner), but
+/// of the equivalent monolithic file (like AdjacencyFileScanner), but
 /// decodes shards ahead of the consumer on a caller-provided thread pool
 /// through a record-granular, double-buffered block ring: decoder threads
 /// fill fixed-size arena-backed RecordBlocks (graph/record_block.h) and
@@ -296,12 +203,6 @@ class ManifestOrderedShardCursor {
   /// and stays valid until the next call that crosses a block boundary;
   /// like every scanner in this library, consume it before advancing.
   Status Next(VertexRecordView* view, bool* has_next) EXCLUDES(mu_);
-
-  /// Compatibility flavor of Next for VertexRecord consumers (tests and
-  /// generic drains); same lifetime rules.
-  Status Next(VertexRecord* rec, bool* has_next) {
-    return NextRecordFromView(this, rec, has_next);
-  }
 
   /// Cancels outstanding decodes, drains the pool job and merges
   /// per-worker IoStats plus the ring counters into the caller's stats.
@@ -377,8 +278,9 @@ class ManifestOrderedShardCursor {
   bool current_loaded_ = false;
 };
 
-/// Splits the monolithic adjacency file at `input_path` into `num_shards`
-/// shards rooted at `manifest_path`, preserving record order.
+/// Splits the records of the adjacency file (or store) at `input_path`
+/// into `num_shards` shards rooted at `manifest_path`, preserving record
+/// order.
 Status ShardAdjacencyFile(const std::string& input_path,
                           const std::string& manifest_path,
                           uint32_t num_shards, IoStats* stats = nullptr);

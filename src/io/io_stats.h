@@ -30,8 +30,8 @@ struct IoStats {
   uint64_t sequential_scans = 0;
   /// Number of external-sort merge passes executed.
   uint64_t sort_passes = 0;
-  /// Shard records decoded (every AdjacencyShardReader record; one
-  /// logical pass over a sharded file decodes each record once).
+  /// Records decoded by AdjacencyShardReader, the one record decoder:
+  /// every scan of a SADJ file or a SADJS store decodes each record once.
   uint64_t records_decoded = 0;
   /// Record blocks published by the block-decode pipeline
   /// (ManifestOrderedShardCursor).

@@ -441,10 +441,10 @@ TEST_F(IncrementalStreamTest, DuplicateBaseEdgeInsertThenDeleteCompacts) {
   EXPECT_TRUE(mis.set().Test(1)) << "base copy survived its deletion";
   EXPECT_EQ(mis.set_size(), 2u);
   ASSERT_OK(mis.Compact(/*force=*/true));
-  ShardedAdjacencyScanner scanner;
+  AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(manifest));
   EXPECT_EQ(scanner.header().num_directed_edges, 0u);
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   uint64_t records = 0;
   while (true) {
@@ -463,7 +463,7 @@ TEST_F(IncrementalStreamTest, DuplicateBaseEdgeInsertThenDeleteCompacts) {
   ASSERT_OK(mis2.Initialize(manifest2, set, EnginePipelineOptions{}));
   ASSERT_OK(mis2.ApplyBatch({EdgeUpdate::Insert(0, 1)}));
   ASSERT_OK(mis2.Compact(/*force=*/true));
-  ShardedAdjacencyScanner scanner2;
+  AdjacencyFileScanner scanner2;
   ASSERT_OK(scanner2.Open(manifest2));
   EXPECT_EQ(scanner2.header().num_directed_edges, 2u);  // one edge, not two
   while (true) {
@@ -520,11 +520,11 @@ TEST_F(IncrementalStreamTest, CompactionFoldsDeltaAndPreservesAnswers) {
   // The compacted base IS the updated graph: re-read it and compare
   // adjacency with the in-memory reference.
   Graph updated = ApplyDelta(base, inserted, deleted);
-  ShardedAdjacencyScanner scanner;
+  AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(manifest));
   EXPECT_EQ(scanner.header().num_directed_edges,
             updated.NumDirectedEdges());
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   uint64_t records = 0;
   while (true) {

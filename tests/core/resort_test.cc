@@ -101,7 +101,7 @@ class ResortTest : public ScratchTest {
   std::string RebuildReference(const std::string& root, const std::string& tag,
                                uint32_t num_shards) {
     IoStats io;
-    ShardedAdjacencyScanner scanner(&io);
+    AdjacencyFileScanner scanner(&io);
     EXPECT_OK(scanner.Open(root));
     const AdjacencyFileHeader& h = scanner.header();
     const std::string unsharded = NewPath(tag + ".ref.adj");

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "graph/sharded_adjacency_file.h"
 #include "test_util.h"
 
 namespace semis {
@@ -34,7 +35,7 @@ TEST_F(AdjacencyFileTest, WriteAndScanRoundtrip) {
   EXPECT_EQ(scanner.header().max_degree, 2u);
   EXPECT_TRUE(scanner.header().IsDegreeSorted());
 
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   ASSERT_OK(scanner.Next(&rec, &has_next));
   ASSERT_TRUE(has_next);
@@ -65,7 +66,7 @@ TEST_F(AdjacencyFileTest, RewindCountsScan) {
   ASSERT_OK(scanner.Rewind());
   ASSERT_OK(scanner.Rewind());
   EXPECT_EQ(stats.sequential_scans, 3u);
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   ASSERT_OK(scanner.Next(&rec, &has_next));
   EXPECT_TRUE(has_next);
@@ -137,7 +138,7 @@ TEST_F(AdjacencyFileTest, TruncatedFileDetected) {
   }
   AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(truncated));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   Status s = scanner.Next(&rec, &has_next);  // first record is intact
   if (s.ok()) s = scanner.Next(&rec, &has_next);
@@ -165,9 +166,45 @@ TEST_F(AdjacencyFileTest, OutOfRangeNeighborDetected) {
   }
   AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(path));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   EXPECT_TRUE(scanner.Next(&rec, &has_next).IsCorruption());
+}
+
+TEST_F(AdjacencyFileTest, EdgeTotalShortfallDetected) {
+  // Regression: a header declaring more directed edges than its records
+  // hold used to scan OK, so every algorithm accepted it and sharding
+  // then blamed its own writer ("edge count mismatch"). The records must
+  // add up to the header's total, as in a shard.
+  std::string path = NewPath("short");
+  {
+    SequentialFileWriter w;
+    ASSERT_OK(w.Open(path));
+    ASSERT_OK(w.AppendU32(0x4A444153u));  // magic
+    ASSERT_OK(w.AppendU32(1));            // version
+    ASSERT_OK(w.AppendU64(2));            // vertices
+    ASSERT_OK(w.AppendU64(4));            // directed edges: 2 too many
+    ASSERT_OK(w.AppendU32(0));            // flags
+    ASSERT_OK(w.AppendU32(1));            // max degree
+    ASSERT_OK(w.AppendU32(0));            // id
+    ASSERT_OK(w.AppendU32(1));            // degree
+    ASSERT_OK(w.AppendU32(1));
+    ASSERT_OK(w.AppendU32(1));            // id
+    ASSERT_OK(w.AppendU32(1));            // degree
+    ASSERT_OK(w.AppendU32(0));
+    ASSERT_OK(w.Close());
+  }
+  AdjacencyFileScanner scanner;
+  ASSERT_OK(scanner.Open(path));
+  VertexRecordView rec;
+  bool has_next = false;
+  ASSERT_OK(scanner.Next(&rec, &has_next));  // both records are intact
+  ASSERT_OK(scanner.Next(&rec, &has_next));
+  Status s = scanner.Next(&rec, &has_next);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  s = ShardAdjacencyFile(path, NewPath("short.sadjs"), 2);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 TEST_F(AdjacencyFileTest, UnsupportedVersionRejected) {
@@ -197,7 +234,7 @@ TEST_F(AdjacencyFileTest, EmptyGraphFile) {
   }
   AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(path));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = true;
   ASSERT_OK(scanner.Next(&rec, &has_next));
   EXPECT_FALSE(has_next);

@@ -29,7 +29,7 @@ TEST_F(DegreeSortTest, RecordsComeOutInDegreeIdOrder) {
   EXPECT_EQ(scanner.header().num_vertices, g.NumVertices());
   EXPECT_EQ(scanner.header().num_directed_edges, g.NumDirectedEdges());
 
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   uint64_t prev_key = 0;
   uint64_t records = 0;
@@ -78,7 +78,7 @@ TEST_F(DegreeSortTest, TinyMemoryBudgetForcesExternalRuns) {
 
   AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(output));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   uint32_t prev_degree = 0;
   while (true) {

@@ -155,7 +155,7 @@ TEST_F(GraphIoTest, ConvertKeepsIsolatedVertexRecords) {
   ASSERT_OK(scanner.Open(adj));
   EXPECT_EQ(scanner.header().num_vertices, 4u);
   int records = 0;
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     ASSERT_OK(scanner.Next(&rec, &has_next));

@@ -163,7 +163,7 @@ TEST_F(ShardStoreTest, ReaderHoldingOldEpochSurvivesOneCommit) {
 
   // The reader resolves the store at epoch 1 and starts scanning.
   IoStats io;
-  ShardedAdjacencyScanner scanner(&io);
+  AdjacencyFileScanner scanner(&io);
   ASSERT_OK(scanner.Open(root));
   const uint64_t expected = scanner.header().num_vertices;
 

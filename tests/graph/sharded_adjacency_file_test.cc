@@ -13,6 +13,7 @@
 #include "gen/generators.h"
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
+#include "io/epoch_journal.h"
 #include "test_util.h"
 
 namespace semis {
@@ -23,37 +24,30 @@ using testing_util::WriteGraphFile;
 
 class ShardedAdjacencyFileTest : public ScratchTest {};
 
-// Reads every record of every shard in index order into (id, neighbors).
-std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainSharded(
-    const std::string& manifest_path) {
-  std::vector<std::pair<VertexId, std::vector<VertexId>>> out;
-  ShardedAdjacencyScanner scanner;
-  Status s = scanner.Open(manifest_path);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  if (!s.ok()) return out;
-  VertexRecord rec;
+using Records = std::vector<std::pair<VertexId, std::vector<VertexId>>>;
+
+// Reads the remaining records of an open scanner into (id, neighbors).
+Records DrainScanner(AdjacencyFileScanner* scanner) {
+  Records out;
+  VertexRecordView rec;
   bool has_next = false;
-  while (scanner.Next(&rec, &has_next).ok() && has_next) {
+  Status s;
+  while ((s = scanner->Next(&rec, &has_next)).ok() && has_next) {
     out.emplace_back(rec.id, std::vector<VertexId>(
                                  rec.neighbors, rec.neighbors + rec.degree));
   }
+  EXPECT_TRUE(s.ok()) << s.ToString();
   return out;
 }
 
-std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainMonolithic(
-    const std::string& path) {
-  std::vector<std::pair<VertexId, std::vector<VertexId>>> out;
+// Reads every record of a store (a SADJ file, or every shard of a SADJS
+// store in index order) into (id, neighbors).
+Records Drain(const std::string& path) {
   AdjacencyFileScanner scanner;
   Status s = scanner.Open(path);
   EXPECT_TRUE(s.ok()) << s.ToString();
-  if (!s.ok()) return out;
-  VertexRecord rec;
-  bool has_next = false;
-  while (scanner.Next(&rec, &has_next).ok() && has_next) {
-    out.emplace_back(rec.id, std::vector<VertexId>(
-                                 rec.neighbors, rec.neighbors + rec.degree));
-  }
-  return out;
+  if (!s.ok()) return Records();
+  return DrainScanner(&scanner);
 }
 
 TEST_F(ShardedAdjacencyFileTest, RoundtripPreservesGlobalOrder) {
@@ -61,8 +55,8 @@ TEST_F(ShardedAdjacencyFileTest, RoundtripPreservesGlobalOrder) {
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 7));
-  auto expected = DrainMonolithic(mono);
-  auto actual = DrainSharded(manifest);
+  auto expected = Drain(mono);
+  auto actual = Drain(manifest);
   ASSERT_EQ(actual.size(), expected.size());
   // Concatenating the shards must reproduce the monolithic record stream
   // exactly -- ids, order, and neighbor lists.
@@ -114,11 +108,11 @@ TEST_F(ShardedAdjacencyFileTest, DegreeSortedFlagSurvivesSharding) {
   ASSERT_OK(BuildDegreeSortedAdjacencyFile(mono, sorted, DegreeSortOptions{}));
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(sorted, manifest, 3));
-  ShardedAdjacencyScanner scanner;
+  AdjacencyFileScanner scanner;
   ASSERT_OK(scanner.Open(manifest));
   EXPECT_TRUE(scanner.header().IsDegreeSorted());
   // And the records really are in ascending (degree, id) order globally.
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   uint64_t prev_key = 0;
   while (true) {
@@ -138,7 +132,7 @@ TEST_F(ShardedAdjacencyFileTest, MoreShardsThanRecordsYieldsEmptyShards) {
   ShardedAdjacencyManifest m;
   ASSERT_OK(ReadShardedAdjacencyManifest(manifest, &m));
   ASSERT_EQ(m.num_shards(), 16u);
-  auto records = DrainSharded(manifest);
+  auto records = Drain(manifest);
   EXPECT_EQ(records.size(), 5u);
 }
 
@@ -147,7 +141,7 @@ TEST_F(ShardedAdjacencyFileTest, SingleShardIsValid) {
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 1));
-  EXPECT_EQ(DrainSharded(manifest), DrainMonolithic(mono));
+  EXPECT_EQ(Drain(manifest), Drain(mono));
 }
 
 TEST_F(ShardedAdjacencyFileTest, ShardCountOutOfRangeRejected) {
@@ -179,14 +173,14 @@ TEST_F(ShardedAdjacencyFileTest, CursorYieldsManifestOrderAtEveryPoolSize) {
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 5));
-  auto expected = DrainSharded(manifest);
+  auto expected = Drain(manifest);
 
   for (size_t pool_size : {1u, 2u, 4u}) {
     ThreadPool pool(pool_size);
     ManifestOrderedShardCursor cursor;
     ASSERT_OK(cursor.Open(manifest, &pool));
-    std::vector<std::pair<VertexId, std::vector<VertexId>>> got;
-    VertexRecord rec;
+    Records got;
+    VertexRecordView rec;
     bool has_next = false;
     while (true) {
       ASSERT_OK(cursor.Next(&rec, &has_next));
@@ -215,7 +209,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorBoundedWindowAndEarlyClose) {
     ring.max_buffered_bytes = 1;
     ASSERT_OK(cursor.Open(manifest, &pool, ring));
     uint64_t records = 0;
-    VertexRecord rec;
+    VertexRecordView rec;
     bool has_next = false;
     while (true) {
       ASSERT_OK(cursor.Next(&rec, &has_next));
@@ -233,7 +227,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorBoundedWindowAndEarlyClose) {
     BlockRingOptions ring;
     ring.max_buffered_bytes = 1;
     ASSERT_OK(cursor.Open(manifest, &pool, ring));
-    VertexRecord rec;
+    VertexRecordView rec;
     bool has_next = false;
     ASSERT_OK(cursor.Next(&rec, &has_next));
     EXPECT_TRUE(has_next);
@@ -249,7 +243,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorMergesWorkerIoAndCountsOneScan) {
   ThreadPool pool(3);
   ManifestOrderedShardCursor cursor(&io);
   ASSERT_OK(cursor.Open(manifest, &pool));
-  VertexRecord rec;
+  VertexRecordView rec;
   bool has_next = false;
   while (true) {
     ASSERT_OK(cursor.Next(&rec, &has_next));
@@ -278,9 +272,9 @@ TEST_F(ShardedAdjacencyFileTest, CursorRequiresPoolAndRejectsDoubleOpen) {
 }
 
 // Drains `cursor` through the view API into (id, neighbors).
-std::vector<std::pair<VertexId, std::vector<VertexId>>> DrainCursor(
+Records DrainCursor(
     ManifestOrderedShardCursor* cursor) {
-  std::vector<std::pair<VertexId, std::vector<VertexId>>> got;
+  Records got;
   VertexRecordView view;
   bool has_next = false;
   while (cursor->Next(&view, &has_next).ok() && has_next) {
@@ -298,7 +292,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorBlockSmallerThanOneRecord) {
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
-  auto expected = DrainSharded(manifest);
+  auto expected = Drain(manifest);
   for (size_t budget : {size_t{1}, size_t{1} << 20}) {
     ThreadPool pool(4);
     ManifestOrderedShardCursor cursor;
@@ -319,7 +313,7 @@ TEST_F(ShardedAdjacencyFileTest, CursorSingleBlockRing) {
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 6));
-  auto expected = DrainSharded(manifest);
+  auto expected = Drain(manifest);
   ThreadPool pool(3);
   ManifestOrderedShardCursor cursor;
   BlockRingOptions ring;
@@ -331,54 +325,116 @@ TEST_F(ShardedAdjacencyFileTest, CursorSingleBlockRing) {
   EXPECT_GT(cursor.blocks_decoded(), 1u);
 }
 
-// Empty shards in the MIDDLE of the manifest (the sharding writer only
-// produces trailing empties, but compaction can empty any shard): both
-// the sequential scanner and the cursor must cross them transparently.
-TEST_F(ShardedAdjacencyFileTest, InteriorEmptyShardsYieldSequentialStream) {
-  Graph g = GenerateErdosRenyi(200, 600, 36);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  auto expected = DrainMonolithic(mono);
-  ASSERT_EQ(expected.size(), 200u);
-
-  // Hand-build a 4-shard file: [records 0..99][empty][records 100..199]
-  // [empty] so one empty shard sits inside and one trails.
-  std::string manifest = NewPath("holey");
+// Hand-builds a 4-shard store of `records` (the record stream of the
+// SADJ file `mono`) at `manifest`: [first half][empty][second half]
+// [empty], so one empty shard sits inside and one trails. The sharding
+// writer only produces trailing empties, but compaction can empty any
+// shard.
+void WriteStoreWithEmptyShards(const std::string& mono,
+                               const Records& records,
+                               const std::string& manifest) {
   ShardedAdjacencyManifest m;
   AdjacencyFileScanner probe;
   ASSERT_OK(probe.Open(mono));
   m.header = probe.header();
   ASSERT_OK(probe.Close());
   m.shards.resize(4);
-  const size_t split = 100;
+  const size_t split = records.size() / 2;
   for (uint32_t k = 0; k < 4; ++k) {
     SequentialFileWriter writer;
     ASSERT_OK(writer.Open(ShardFilePath(manifest, k)));
     ASSERT_OK(WriteAdjacencyShardHeader(&writer, k, m.header.num_vertices));
-    const size_t begin = k == 0 ? 0 : (k == 2 ? split : expected.size());
-    const size_t end = k == 0 ? split : (k == 2 ? expected.size() : begin);
+    const size_t begin = k == 0 ? 0 : (k == 2 ? split : records.size());
+    const size_t end = k == 0 ? split : (k == 2 ? records.size() : begin);
     for (size_t i = begin; i < end; ++i) {
-      ASSERT_OK(writer.AppendU32(expected[i].first));
+      ASSERT_OK(writer.AppendU32(records[i].first));
       ASSERT_OK(writer.AppendU32(
-          static_cast<uint32_t>(expected[i].second.size())));
-      if (!expected[i].second.empty()) {
-        ASSERT_OK(writer.Append(expected[i].second.data(),
-                                expected[i].second.size() *
+          static_cast<uint32_t>(records[i].second.size())));
+      if (!records[i].second.empty()) {
+        ASSERT_OK(writer.Append(records[i].second.data(),
+                                records[i].second.size() *
                                     sizeof(VertexId)));
       }
       m.shards[k].num_records++;
-      m.shards[k].num_directed_edges += expected[i].second.size();
+      m.shards[k].num_directed_edges += records[i].second.size();
     }
     ASSERT_OK(writer.Close());
   }
   ASSERT_OK(WriteShardedAdjacencyManifest(manifest, m));
+}
 
-  EXPECT_EQ(DrainSharded(manifest), expected);
+// Empty shards in the MIDDLE of the manifest (the sharding writer only
+// produces trailing empties, but compaction can empty any shard): both
+// the sequential scanner and the cursor must cross them transparently.
+TEST_F(ShardedAdjacencyFileTest, InteriorEmptyShardsYieldSequentialStream) {
+  Graph g = GenerateErdosRenyi(200, 600, 36);
+  std::string mono = WriteGraphFile(&scratch_, g);
+  auto expected = Drain(mono);
+  ASSERT_EQ(expected.size(), 200u);
+
+  std::string manifest = NewPath("holey");
+  ASSERT_NO_FATAL_FAILURE(WriteStoreWithEmptyShards(mono, expected, manifest));
+
+  EXPECT_EQ(Drain(manifest), expected);
   for (size_t pool_size : {1u, 2u, 4u}) {
     ThreadPool pool(pool_size);
     ManifestOrderedShardCursor cursor;
     ASSERT_OK(cursor.Open(manifest, &pool));
     EXPECT_EQ(DrainCursor(&cursor), expected) << "pool " << pool_size;
     ASSERT_OK(cursor.Close());
+  }
+}
+
+// One graph through every reader: the SADJ file, its SADJS store at 1, 3
+// and 7 shards and with interior empty shards, a journaled SEPR root, and
+// the prefetching cursor at 1, 2 and 4 threads over each store. Every
+// source yields the same record stream, the scanner counts one sequential
+// scan per pass, and Rewind replays the stream on every format.
+TEST_F(ShardedAdjacencyFileTest, EveryReaderOfOneGraphYieldsOneStream) {
+  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 2.0), 40);
+  std::string mono = WriteGraphFile(&scratch_, g);
+  const Records expected = Drain(mono);
+  ASSERT_EQ(expected.size(), g.NumVertices());
+
+  std::vector<std::string> sources = {mono};
+  for (uint32_t shards : {1u, 3u, 7u}) {
+    sources.push_back(NewPath("store" + std::to_string(shards)));
+    ASSERT_OK(ShardAdjacencyFile(mono, sources.back(), shards));
+  }
+  sources.push_back(NewPath("holey"));
+  ASSERT_NO_FATAL_FAILURE(
+      WriteStoreWithEmptyShards(mono, expected, sources.back()));
+  // A journaled root whose epoch 1 is a 3-shard store.
+  sources.push_back(NewPath("journaled"));
+  ASSERT_OK(
+      ShardAdjacencyFile(mono, EpochManifestPath(sources.back(), 1), 3));
+  EpochRootPointer pointer;
+  pointer.current_epoch = 1;
+  ASSERT_OK(WriteEpochRootPointer(sources.back(), pointer));
+
+  for (const std::string& source : sources) {
+    SCOPED_TRACE(source);
+    IoStats io;
+    AdjacencyFileScanner scanner(&io);
+    ASSERT_OK(scanner.Open(source));
+    for (uint64_t pass = 1; pass <= 2; ++pass) {
+      if (pass > 1) ASSERT_OK(scanner.Rewind());
+      EXPECT_EQ(io.sequential_scans, pass);
+      EXPECT_EQ(DrainScanner(&scanner), expected) << "pass " << pass;
+      EXPECT_EQ(io.sequential_scans, pass);
+      EXPECT_EQ(io.records_decoded, pass * expected.size());
+    }
+    if (source == mono) continue;  // the cursor prefetches SADJS shards
+    for (size_t threads : {1u, 2u, 4u}) {
+      IoStats cursor_io;
+      ThreadPool pool(threads);
+      ManifestOrderedShardCursor cursor(&cursor_io);
+      ASSERT_OK(cursor.Open(source, &pool));
+      EXPECT_EQ(DrainCursor(&cursor), expected) << threads << " threads";
+      ASSERT_OK(cursor.Close());
+      EXPECT_EQ(cursor_io.sequential_scans, 1u);
+      EXPECT_EQ(cursor_io.records_decoded, expected.size());
+    }
   }
 }
 

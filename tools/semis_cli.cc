@@ -308,6 +308,60 @@ const char kResortNotScheduled[] =
     "not scheduled (run `semis_cli update --resort` to restore GREEDY "
     "order)";
 
+// Parses the options `solve` and `engine` share: --algo, --rounds,
+// --shards and --threads. On bad input prints why (or the usage) and
+// returns false.
+bool ParseSolveOptions(const Args& args, MisEngineOptions* opts) {
+  const std::string algo = args.Get("algo", "twok");
+  if (algo == "baseline") {
+    opts->degree_sort = false;
+    opts->swap = SwapMode::kNone;
+  } else if (algo == "greedy") {
+    opts->swap = SwapMode::kNone;
+  } else if (algo == "onek") {
+    opts->swap = SwapMode::kOneK;
+  } else if (algo == "twok") {
+    opts->swap = SwapMode::kTwoK;
+  } else {
+    Usage();
+    return false;
+  }
+  opts->max_swap_rounds =
+      static_cast<uint32_t>(std::atoi(args.Get("rounds", "0").c_str()));
+  if (!ParseCount(args.Get("shards", "0"), 0, kMaxAdjacencyShards,
+                  &opts->pipeline.num_shards)) {
+    std::fprintf(stderr, "error: --shards must be in [0, %u]\n",
+                 kMaxAdjacencyShards);
+    return false;
+  }
+  if (!ParseCount(args.Get("threads", "1"), 0, 4096,
+                  &opts->pipeline.num_threads)) {
+    std::fprintf(stderr, "error: --threads must be in [0, 4096]\n");
+    return false;
+  }
+  return true;
+}
+
+// The degrade-loudly rule `solve` and `engine` share: shards cannot be
+// sorted in place, so a sorted-order algorithm on a manifest whose sorted
+// flag is clear runs in BASELINE order, with a warning. Returns false
+// (after printing the error) when the manifest cannot be read.
+bool DegradeUnsortedManifest(const std::string& path,
+                             MisEngineOptions* opts) {
+  if (!opts->degree_sort || !IsManifestFile(path)) return true;
+  ShardedAdjacencyManifest manifest;
+  Status s = ReadShardStoreManifest(path, &manifest);
+  if (!s.ok()) {
+    Fail(s);
+    return false;
+  }
+  if (!manifest.header.IsDegreeSorted()) {
+    WarnNotDegreeSorted(path, kResortNotScheduled);
+    opts->degree_sort = false;
+  }
+  return true;
+}
+
 int CmdShard(const Args& args) {
   if (args.positional.size() != 2) return Usage();
   uint32_t num_shards = 0;
@@ -370,19 +424,7 @@ int CmdBound(const Args& args) {
 int CmdSolve(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   SolverOptions opts;
-  std::string algo = args.Get("algo", "twok");
-  if (algo == "baseline") {
-    opts.degree_sort = false;
-    opts.swap = SwapMode::kNone;
-  } else if (algo == "greedy") {
-    opts.swap = SwapMode::kNone;
-  } else if (algo == "onek") {
-    opts.swap = SwapMode::kOneK;
-  } else if (algo == "twok") {
-    opts.swap = SwapMode::kTwoK;
-  } else {
-    return Usage();
-  }
+  if (!ParseSolveOptions(args, &opts)) return 1;
   // --engine picks the initial-set engine; --algo keeps selecting the
   // swap stage (and, for the greedy engine, GREEDY vs BASELINE order).
   const std::string engine = args.Get("engine", "greedy");
@@ -396,38 +438,14 @@ int CmdSolve(const Args& args) {
                  engine.c_str());
     return 1;
   }
-  opts.max_swap_rounds =
-      static_cast<uint32_t>(std::atoi(args.Get("rounds", "0").c_str()));
-  if (!ParseCount(args.Get("shards", "0"), 0, kMaxAdjacencyShards,
-                  &opts.pipeline.num_shards)) {
-    std::fprintf(stderr, "error: --shards must be in [0, %u]\n",
-                 kMaxAdjacencyShards);
-    return 1;
-  }
-  if (!ParseCount(args.Get("threads", "1"), 0, 4096,
-                  &opts.pipeline.num_threads)) {
-    std::fprintf(stderr, "error: --threads must be in [0, 4096]\n");
-    return 1;
-  }
   opts.verify = args.Has("verify");
   // A SADJS manifest is consumed directly (the file fixes the shard
-  // count). Shards cannot be sorted in place, so a sorted-order algo on
-  // an unsorted manifest degrades to BASELINE order -- loudly.
+  // count).
   const bool is_manifest = IsManifestFile(args.positional[0]);
-  if (is_manifest && opts.degree_sort) {
-    ShardedAdjacencyManifest manifest;
-    Status ms = ReadShardStoreManifest(args.positional[0], &manifest);
-    if (!ms.ok()) return Fail(ms);
-    if (!manifest.header.IsDegreeSorted()) {
-      WarnNotDegreeSorted(args.positional[0], kResortNotScheduled);
-      opts.degree_sort = false;
-    }
-  }
+  if (!DegradeUnsortedManifest(args.positional[0], &opts)) return 1;
   Solver solver(opts);
   SolveResult res;
-  Status s = is_manifest
-                 ? solver.SolveShardedFile(args.positional[0], &res)
-                 : solver.SolveFile(args.positional[0], &res);
+  Status s = solver.SolveFile(args.positional[0], &res);
   if (!s.ok()) return Fail(s);
   const bool rounds_engine = opts.pipeline.engine == SolveEngine::kRounds;
   const AlgoResult& first_stage = rounds_engine ? res.rounds : res.greedy;
@@ -468,11 +486,11 @@ int CmdSolve(const Args& args) {
                   static_cast<unsigned long long>(res.rounds.set_size),
                   static_cast<unsigned long long>(final_frontier));
     }
-    // Shard-decode counters, all zero on the unsharded single-file path.
-    // records_decoded spans EVERY shard scan (the initial engine's passes
-    // plus each swap round's rescans); the block-ring line covers only
-    // the cursor-driven stages, which is why records per block don't
-    // divide.
+    // Decode counters. records_decoded spans EVERY scan (the initial
+    // engine's passes plus each swap round's rescans; a SADJ file is a
+    // one-shard store); the block-ring line covers only the cursor-driven
+    // stages -- all zero on the single-file path -- which is why records
+    // per block don't divide.
     const double decode_seconds =
         res.greedy.seconds + res.rounds.seconds + res.swap.seconds > 0.0
             ? res.greedy.seconds + res.rounds.seconds + res.swap.seconds
@@ -861,8 +879,7 @@ int CmdUpdate(const Args& args) {
 
   if (args.Has("verify")) {
     VerifyResult vr;
-    s = VerifyIndependentSetShardedFile(manifest_path, final_epoch->set(),
-                                        &vr);
+    s = VerifyIndependentSetFile(manifest_path, final_epoch->set(), &vr);
     if (!s.ok()) return Fail(s);
     if (!vr.independent || !vr.maximal) {
       std::fprintf(stderr, "error: maintained set is %s\n",
@@ -888,46 +905,10 @@ int CmdUpdate(const Args& args) {
 int CmdEngine(const Args& args) {
   if (args.positional.size() != 1 || !args.Has("script")) return Usage();
   MisEngineOptions opts;
-  std::string algo = args.Get("algo", "twok");
-  if (algo == "baseline") {
-    opts.degree_sort = false;
-    opts.swap = SwapMode::kNone;
-  } else if (algo == "greedy") {
-    opts.swap = SwapMode::kNone;
-  } else if (algo == "onek") {
-    opts.swap = SwapMode::kOneK;
-  } else if (algo == "twok") {
-    opts.swap = SwapMode::kTwoK;
-  } else {
-    return Usage();
-  }
-  opts.max_swap_rounds =
-      static_cast<uint32_t>(std::atoi(args.Get("rounds", "0").c_str()));
-  if (!ParseCount(args.Get("shards", "0"), 0, kMaxAdjacencyShards,
-                  &opts.pipeline.num_shards)) {
-    std::fprintf(stderr, "error: --shards must be in [0, %u]\n",
-                 kMaxAdjacencyShards);
-    return 1;
-  }
-  if (!ParseCount(args.Get("threads", "1"), 0, 4096,
-                  &opts.pipeline.num_threads)) {
-    std::fprintf(stderr, "error: --threads must be in [0, 4096]\n");
-    return 1;
-  }
+  if (!ParseSolveOptions(args, &opts)) return 1;
   opts.pipeline.compact_threshold_entries = std::strtoull(
       args.Get("compact-threshold", "65536").c_str(), nullptr, 10);
-
-  // Same degrade-loudly rule as `solve`: a manifest whose sorted flag was
-  // cleared cannot run the sorted-order algorithms.
-  if (IsManifestFile(args.positional[0]) && opts.degree_sort) {
-    ShardedAdjacencyManifest manifest;
-    Status ms = ReadShardStoreManifest(args.positional[0], &manifest);
-    if (!ms.ok()) return Fail(ms);
-    if (!manifest.header.IsDegreeSorted()) {
-      WarnNotDegreeSorted(args.positional[0], kResortNotScheduled);
-      opts.degree_sort = false;
-    }
-  }
+  if (!DegradeUnsortedManifest(args.positional[0], &opts)) return 1;
 
   MisEngine engine(opts);
   Status s = engine.Open(args.positional[0]);
@@ -1188,7 +1169,7 @@ int CmdFsck(const Args& args) {
 int CmdUnshard(const Args& args) {
   if (args.positional.size() != 2) return Usage();
   IoStats io;
-  ShardedAdjacencyScanner scanner(&io);
+  AdjacencyFileScanner scanner(&io);
   Status s = scanner.Open(args.positional[0]);
   if (!s.ok()) return Fail(s);
   const AdjacencyFileHeader& h = scanner.header();
