@@ -1,12 +1,9 @@
 #include "core/incremental_stream.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <memory>
-#include <queue>
-#include <thread>
 #include <unordered_set>
 
+#include "graph/degree_sort.h"
 #include "io/epoch_journal.h"
 #include "util/crash_point.h"
 #include "util/thread_pool.h"
@@ -43,10 +40,13 @@ Status ShardedStreamingMis::Initialize(const std::string& manifest_path,
 
   SEMIS_RETURN_IF_ERROR(BuildRouteMap());
 
-  // Resume from an existing overlay, or start a fresh (empty) one.
+  // Resume from an existing overlay, or start a fresh (empty) one. Only
+  // NotFound means "no overlay": any other probe failure must surface,
+  // since starting fresh truncates every log and loses the pending delta.
   uint64_t size = 0;
-  const bool delta_exists = GetFileSize(delta_path_, &size).ok();
-  if (delta_exists) {
+  const Status probe = GetFileSize(delta_path_, &size);
+  if (!probe.ok() && !probe.IsNotFound()) return probe;
+  if (probe.ok()) {
     SEMIS_RETURN_IF_ERROR(ReplayExistingDelta());
   } else {
     EdgeDeltaManifest dm;
@@ -337,11 +337,7 @@ Status ShardedStreamingMis::Repair() {
   }
   WallTimer timer;
   uint64_t added = 0;
-  uint32_t num_threads = options_.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  const uint32_t num_threads = ResolveThreadCount(options_.num_threads);
   if (num_threads <= 1) {
     // The sequential reference path: a plain forward scan over the shards.
     AdjacencyFileScanner scanner(&stats_.io);
@@ -607,48 +603,6 @@ Status ShardedStreamingMis::Compact(bool force) {
   return Status::OK();
 }
 
-Status ShardedStreamingMis::BuildResortRun(uint32_t shard,
-                                           const std::string& run_path,
-                                           IoStats* io) {
-  // One shard's records, sorted by the degree-sort key
-  // (degree << 32 | id, ascending) -- the exact key of graph/degree_sort.
-  // Run format (private, staged, regenerated on any crash): per record
-  // u64 key, then (key >> 32) u32 neighbors.
-  AdjacencyShardReader reader(io);
-  SEMIS_RETURN_IF_ERROR(reader.Open(manifest_path_, manifest_, shard));
-  struct RecRef {
-    uint64_t key = 0;
-    uint64_t offset = 0;
-  };
-  std::vector<RecRef> recs;
-  recs.reserve(manifest_.shards[shard].num_records);
-  std::vector<VertexId> pool;
-  pool.reserve(manifest_.shards[shard].num_directed_edges);
-  VertexRecordView rec;
-  bool has_next = false;
-  while (true) {
-    SEMIS_RETURN_IF_ERROR(reader.Next(&rec, &has_next));
-    if (!has_next) break;
-    const uint64_t key = (static_cast<uint64_t>(rec.degree) << 32) | rec.id;
-    recs.push_back({key, pool.size()});
-    pool.insert(pool.end(), rec.neighbors, rec.neighbors + rec.degree);
-  }
-  SEMIS_RETURN_IF_ERROR(reader.Close());
-  std::sort(recs.begin(), recs.end(),
-            [](const RecRef& a, const RecRef& b) { return a.key < b.key; });
-  SequentialFileWriter writer(io);
-  SEMIS_RETURN_IF_ERROR(writer.Open(run_path));
-  for (const RecRef& r : recs) {
-    SEMIS_RETURN_IF_ERROR(writer.AppendU64(r.key));
-    const uint32_t degree = static_cast<uint32_t>(r.key >> 32);
-    if (degree > 0) {
-      SEMIS_RETURN_IF_ERROR(
-          writer.Append(pool.data() + r.offset, sizeof(VertexId) * degree));
-    }
-  }
-  return writer.Close();
-}
-
 Status ShardedStreamingMis::Resort() {
   if (!initialized_) {
     return Status::InvalidArgument("streaming maintainer not initialized");
@@ -686,115 +640,31 @@ Status ShardedStreamingMis::ResortInternal() {
   const std::string new_manifest = EpochManifestPath(root_path_, next_epoch);
   const std::string new_delta = EdgeDeltaManifestPath(new_manifest);
 
-  // Phase A: sort each shard into a run file, one shard per worker. The
-  // runs are staged under the next epoch's namespace so a crash leaves
-  // them as GC-able orphans.
-  std::vector<std::string> run_paths(num_shards);
-  for (uint32_t k = 0; k < num_shards; ++k) {
-    run_paths[k] = new_manifest + ".resort" + std::to_string(k);
-    SEMIS_RETURN_IF_ERROR(RemoveFileIfExists(run_paths[k]));
-  }
-  uint32_t num_threads = options_.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  if (num_threads <= 1 || num_shards <= 1) {
-    for (uint32_t k = 0; k < num_shards; ++k) {
-      SEMIS_RETURN_IF_ERROR(BuildResortRun(k, run_paths[k], &stats_.io));
-    }
-  } else {
-    ThreadPool pool(num_threads);
-    std::vector<Status> shard_status(num_shards);
-    std::vector<IoStats> worker_io(pool.size());
-    pool.ParallelFor(num_shards, [&](size_t k, size_t worker) {
-      shard_status[k] = BuildResortRun(static_cast<uint32_t>(k),
-                                       run_paths[k], &worker_io[worker]);
-    });
-    for (const IoStats& io : worker_io) stats_.io.MergeFrom(io);
-    for (const Status& s : shard_status) {
-      SEMIS_RETURN_IF_ERROR(s);
-    }
-  }
-  // Phase A working set: one decoded shard per active worker.
-  uint64_t max_shard_bytes = 0;
-  for (const ShardInfo& s : manifest_.shards) {
-    max_shard_bytes =
-        std::max(max_shard_bytes, s.num_records * 2 * sizeof(uint64_t) +
-                                      s.num_directed_edges * sizeof(VertexId));
-  }
+  // The paper's preprocessing step run on the store: one external degree
+  // sort (memory budget M) into a SADJ copy staged under the next epoch's
+  // namespace -- a crash leaves it as a GC-able orphan -- then the same
+  // split `semis_cli shard` performs. This IS the fresh unshard ->
+  // degree-sort -> shard rebuild, so the published bytes are that
+  // rebuild's, shard split included.
+  const std::string sorted_path = new_manifest + ".resort0";
+  SEMIS_RETURN_IF_ERROR(RemoveFileIfExists(sorted_path));
+  MemoryTracker sort_memory;
+  DegreeSortOptions sort_options;
+  sort_options.stats = &stats_.io;
+  sort_options.memory = &sort_memory;
+  SEMIS_RETURN_IF_ERROR(
+      BuildDegreeSortedAdjacencyFile(manifest_path_, sorted_path, sort_options));
   stats_.peak_memory_bytes = std::max(
-      stats_.peak_memory_bytes,
-      CurrentMemoryBytes() +
-          max_shard_bytes * std::min<uint64_t>(num_threads, num_shards));
+      stats_.peak_memory_bytes, CurrentMemoryBytes() + sort_memory.PeakBytes());
   SEMIS_CRASH_POINT("resort.runs-staged");
 
-  // Phase B: merge the runs (ascending key; keys are globally unique, id
-  // breaks degree ties) into a fresh sharded base under the next epoch's
-  // names. Totals, max_degree, and flags carry the current manifest's
-  // values -- exactly what a fresh unshard -> degree-sort -> shard
-  // rebuild would write -- so the published bytes are identical to that
-  // rebuild's, shard split included.
+  SEMIS_RETURN_IF_ERROR(
+      ShardAdjacencyFile(sorted_path, new_manifest, num_shards, &stats_.io));
+  // The sorted copy is consumed; drop it before the flip so a post-commit
+  // crash has nothing extra to GC.
+  SEMIS_RETURN_IF_ERROR(RemoveFileIfExists(sorted_path));
   std::vector<std::string> staged_files;
   staged_files.reserve(2 * num_shards + 2);
-  {
-    struct RunCursor {
-      explicit RunCursor(IoStats* io) : reader(io) {}
-      SequentialFileReader reader;
-      uint64_t remaining = 0;
-      uint64_t key = 0;
-      std::vector<VertexId> neighbors;
-    };
-    std::vector<std::unique_ptr<RunCursor>> runs;
-    runs.reserve(num_shards);
-    const auto advance = [this](RunCursor* run) -> Status {
-      SEMIS_RETURN_IF_ERROR(run->reader.ReadU64(&run->key));
-      const uint32_t degree = static_cast<uint32_t>(run->key >> 32);
-      run->neighbors.resize(degree);
-      if (degree > 0) {
-        SEMIS_RETURN_IF_ERROR(run->reader.ReadExact(
-            run->neighbors.data(), sizeof(VertexId) * degree));
-      }
-      run->remaining--;
-      return Status::OK();
-    };
-    // Min-heap of (key, run index); unique keys make the pop order -- and
-    // therefore the output -- independent of shard and thread counts.
-    std::priority_queue<std::pair<uint64_t, uint32_t>,
-                        std::vector<std::pair<uint64_t, uint32_t>>,
-                        std::greater<std::pair<uint64_t, uint32_t>>>
-        heap;
-    for (uint32_t k = 0; k < num_shards; ++k) {
-      auto run = std::make_unique<RunCursor>(&stats_.io);
-      run->remaining = manifest_.shards[k].num_records;
-      if (run->remaining > 0) {
-        SEMIS_RETURN_IF_ERROR(run->reader.Open(run_paths[k]));
-        SEMIS_RETURN_IF_ERROR(advance(run.get()));
-        heap.emplace(run->key, k);
-      }
-      runs.push_back(std::move(run));
-    }
-    ShardedAdjacencyFileWriter writer(&stats_.io);
-    SEMIS_RETURN_IF_ERROR(writer.Open(
-        new_manifest, n_, manifest_.header.num_directed_edges,
-        manifest_.header.max_degree,
-        manifest_.header.flags | kAdjFlagDegreeSorted, num_shards));
-    while (!heap.empty()) {
-      const auto [key, k] = heap.top();
-      heap.pop();
-      RunCursor* run = runs[k].get();
-      SEMIS_RETURN_IF_ERROR(writer.AppendVertex(
-          static_cast<VertexId>(key & 0xFFFFFFFFull), run->neighbors.data(),
-          static_cast<uint32_t>(key >> 32)));
-      if (run->remaining > 0) {
-        SEMIS_RETURN_IF_ERROR(advance(run));
-        heap.emplace(run->key, k);
-      } else {
-        SEMIS_RETURN_IF_ERROR(run->reader.Close());
-      }
-    }
-    SEMIS_RETURN_IF_ERROR(writer.Finish());
-  }
   for (uint32_t k = 0; k < num_shards; ++k) {
     staged_files.push_back(ShardFilePath(new_manifest, k));
   }
@@ -814,16 +684,11 @@ Status ShardedStreamingMis::ResortInternal() {
   dm.shard_entries.assign(num_shards, 0);
   SEMIS_RETURN_IF_ERROR(WriteEdgeDeltaManifest(new_delta, dm, &stats_.io));
   staged_files.push_back(new_delta);
-  // The runs are consumed; drop them before the flip so a post-commit
-  // crash has nothing extra to GC.
-  for (uint32_t k = 0; k < num_shards; ++k) {
-    SEMIS_RETURN_IF_ERROR(RemoveFileIfExists(run_paths[k]));
-  }
   SEMIS_CRASH_POINT("resort.epoch-staged");
 
   SEMIS_RETURN_IF_ERROR(PublishEpoch(next_epoch, staged_files));
 
-  // Records moved shards: reload the manifest the writer computed and
+  // Records moved shards: reload the manifest the sharder computed and
   // rebuild the route map. The delta state is empty by construction.
   SEMIS_RETURN_IF_ERROR(
       ReadShardedAdjacencyManifest(manifest_path_, &manifest_, &stats_.io));

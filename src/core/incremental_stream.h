@@ -48,10 +48,10 @@
 //
 // Resort() restores the global (degree, id) record order that a
 // degree-changing compaction invalidated: pending deltas are folded in
-// (forced compaction), each shard is sorted into a run file by the
-// degree-sort key on the thread pool, and the runs are merged into a
-// fresh sharded file -- byte-identical to a fresh unshard -> degree-sort
-// -> shard rebuild -- then published through the same epoch commit.
+// (forced compaction), the store is degree-sorted into one staged SADJ
+// copy by graph/degree_sort (the external sorter, under its memory
+// budget) and re-sharded -- literally the unshard -> degree-sort -> shard
+// rebuild -- then published through the same epoch commit.
 #ifndef SEMIS_CORE_INCREMENTAL_STREAM_H_
 #define SEMIS_CORE_INCREMENTAL_STREAM_H_
 
@@ -195,13 +195,15 @@ class ShardedStreamingMis {
 
   /// Restores the global (degree, id) record order after degree-changing
   /// compactions cleared the degree-sorted flag. Folds pending deltas in
-  /// first (forced compaction), then sorts each shard into a run file (on
-  /// the thread pool; one shard per worker) and merges the runs into a
-  /// fresh sharded base published as a new epoch. The result is
+  /// first (forced compaction), then runs BuildDegreeSortedAdjacencyFile
+  /// (default DegreeSortOptions: 64 MiB budget, fan-in 16) into a staged
+  /// SADJ copy and ShardAdjacencyFile into a fresh base with the same
+  /// shard count, published as a new epoch. The result is therefore
   /// byte-identical to a fresh unshard -> degree-sort -> shard rebuild of
-  /// the same store, for every shard/thread count. No-op when the base is
-  /// already degree-sorted. The effective graph and the maintained set
-  /// are unchanged.
+  /// the same store; `num_threads` does not affect it. Memory is the
+  /// sorter's budget plus the maintainer's O(|V|) state, independent of
+  /// shard sizes. No-op when the base is already degree-sorted. The
+  /// effective graph and the maintained set are unchanged.
   Status Resort();
 
   /// Current membership (independent w.r.t. the updated graph after every
@@ -263,10 +265,6 @@ class ShardedStreamingMis {
   // Epoch GC + orphan accounting (after a successful commit).
   Status CollectStoreGarbage();
   Status ResortInternal();
-  // Sorts shard `shard`'s records by the degree-sort key into the run
-  // file at `run_path` (u64 key + u32 neighbors per record).
-  Status BuildResortRun(uint32_t shard, const std::string& run_path,
-                        IoStats* io);
   // Rebuilds delta_ from the pending per-shard entries (after compaction
   // retired some of them).
   Status RebuildDeltaState();

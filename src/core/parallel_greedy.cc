@@ -1,7 +1,5 @@
 #include "core/parallel_greedy.h"
 
-#include <thread>
-
 #include "graph/sharded_adjacency_file.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -12,11 +10,7 @@ Status RunParallelGreedyWithStates(const std::string& manifest_path,
                                    const ParallelGreedyOptions& options,
                                    AlgoResult* result,
                                    std::vector<VState>* states) {
-  uint32_t num_threads = options.pipeline.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  const uint32_t num_threads = ResolveThreadCount(options.pipeline.num_threads);
   if (num_threads <= 1) {
     // Sequential reference path: the plain greedy scan, which reads the
     // shards in manifest order.

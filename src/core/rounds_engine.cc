@@ -1,6 +1,5 @@
 #include "core/rounds_engine.h"
 
-#include <thread>
 #include <utility>
 
 #include "graph/shard_store.h"
@@ -291,26 +290,20 @@ Status RunMinIdRoundsImpl(const std::string& manifest_path,
   AlgoResult res;
   // Resolve a journaled-store root so the shard readers open the current
   // epoch's files (same move as the other executors).
-  ResolvedShardStore resolved;
-  SEMIS_RETURN_IF_ERROR(ResolveShardStore(manifest_path, &resolved, &res.io));
   ShardedAdjacencyManifest manifest;
+  std::string serving_path;
   SEMIS_RETURN_IF_ERROR(
-      ReadShardedAdjacencyManifest(resolved.manifest_path, &manifest, &res.io));
+      ReadShardStoreManifest(manifest_path, &manifest, &res.io, &serving_path));
 
-  uint32_t num_threads = options.pipeline.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  const uint32_t num_threads = ResolveThreadCount(options.pipeline.num_threads);
 
   if (force_reference || num_threads <= 1) {
     // 1 thread IS the sequential reference, not a 1-worker pool.
-    SEMIS_RETURN_IF_ERROR(RunReferenceRounds(resolved.manifest_path,
+    SEMIS_RETURN_IF_ERROR(RunReferenceRounds(serving_path,
                                              manifest.header.num_vertices,
                                              options, &res, states));
   } else {
-    MinIdRoundsRun run(resolved.manifest_path, std::move(manifest), options,
-                       num_threads);
+    MinIdRoundsRun run(serving_path, std::move(manifest), options, num_threads);
     SEMIS_RETURN_IF_ERROR(run.Execute(&res));
     if (states != nullptr) *states = run.TakeStates();
   }

@@ -272,11 +272,8 @@ Status AdjacencyFileScanner::Open(const std::string& path) {
     }
     // A store root: the shard paths derive from the serving epoch's
     // manifest, not from the root.
-    ResolvedShardStore resolved;
-    SEMIS_RETURN_IF_ERROR(ResolveShardStore(path, &resolved, stats_));
-    manifest_path_ = resolved.manifest_path;
     SEMIS_RETURN_IF_ERROR(
-        ReadShardedAdjacencyManifest(manifest_path_, &manifest_, stats_));
+        ReadShardStoreManifest(path, &manifest_, stats_, &manifest_path_));
     SEMIS_RETURN_IF_ERROR(reader_.Open(manifest_path_, manifest_, 0));
   }
   if (stats_ != nullptr) stats_->sequential_scans++;

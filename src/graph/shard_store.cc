@@ -123,9 +123,9 @@ Status ValidateShardStoreEpoch(const std::string& manifest_path,
   }
   const std::string delta_path = EdgeDeltaManifestPath(manifest_path);
   uint64_t delta_size = 0;
-  if (!GetFileSize(delta_path, &delta_size).ok()) {
-    return Status::OK();  // no overlay; the base alone is the store
-  }
+  const Status probe = GetFileSize(delta_path, &delta_size);
+  if (probe.IsNotFound()) return Status::OK();  // no overlay: base only
+  SEMIS_RETURN_IF_ERROR(probe);
   EdgeDeltaManifest delta;
   SEMIS_RETURN_IF_ERROR(ReadEdgeDeltaManifest(delta_path, &delta, stats));
   if (delta.num_shards() != manifest.num_shards() ||
@@ -151,6 +151,14 @@ Status ValidateShardStoreEpoch(const std::string& manifest_path,
 
 namespace {
 
+// True when a failed epoch validation means the epoch's files are torn or
+// missing. Any other error (EIO, ENOSPC, ...) is the device failing, not
+// the epoch: it must surface rather than make recovery retire a good one.
+bool IsEpochDamage(const Status& s) {
+  return s.IsCorruption() || s.IsNotFound() ||
+         (s.IsIOError() && s.sys_errno() == ENOENT);
+}
+
 // Shared resolution. When `durable`, a fallback is committed back to the
 // root pointer so later readers skip the damaged epoch.
 Status ResolveInternal(const std::string& root_path, bool durable,
@@ -175,6 +183,7 @@ Status ResolveInternal(const std::string& root_path, bool durable,
   resolved.manifest_path = EpochManifestPath(root_path, root.current_epoch);
   Status current_ok = ValidateShardStoreEpoch(resolved.manifest_path, stats);
   if (!current_ok.ok()) {
+    if (!IsEpochDamage(current_ok)) return current_ok;
     if (root.previous_epoch == 0) {
       return Status::Corruption("store '" + root_path + "' epoch " +
                                 std::to_string(root.current_epoch) +
@@ -185,6 +194,7 @@ Status ResolveInternal(const std::string& root_path, bool durable,
         EpochManifestPath(root_path, root.previous_epoch);
     Status previous_ok = ValidateShardStoreEpoch(prev_manifest, stats);
     if (!previous_ok.ok()) {
+      if (!IsEpochDamage(previous_ok)) return previous_ok;
       return Status::Corruption(
           "store '" + root_path + "' is damaged in both epochs (current " +
           std::to_string(root.current_epoch) + ": " + current_ok.message() +
@@ -270,10 +280,14 @@ Status GarbageCollectShardStore(const ResolvedShardStore& resolved,
 }
 
 Status ReadShardStoreManifest(const std::string& root_path,
-                              ShardedAdjacencyManifest* out, IoStats* stats) {
+                              ShardedAdjacencyManifest* out, IoStats* stats,
+                              std::string* manifest_path) {
   ResolvedShardStore resolved;
   SEMIS_RETURN_IF_ERROR(ResolveShardStore(root_path, &resolved, stats));
-  return ReadShardedAdjacencyManifest(resolved.manifest_path, out, stats);
+  SEMIS_RETURN_IF_ERROR(
+      ReadShardedAdjacencyManifest(resolved.manifest_path, out, stats));
+  if (manifest_path != nullptr) *manifest_path = resolved.manifest_path;
+  return Status::OK();
 }
 
 }  // namespace semis

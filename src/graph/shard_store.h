@@ -73,9 +73,10 @@ Status ValidateShardStoreEpoch(const std::string& manifest_path,
 
 /// Read-only root resolution (see the file comment). Never writes.
 /// Fails with Corruption when neither the current nor the previous epoch
-/// validates. A root that is neither SEPR nor SADM resolves as legacy and
-/// leaves the format error to the manifest reader, preserving its
-/// diagnostics.
+/// validates. Only damage (a torn or missing file) triggers the fallback;
+/// any other I/O error of the validation is returned as is. A root that
+/// is neither SEPR nor SADM resolves as legacy and leaves the format
+/// error to the manifest reader, preserving its diagnostics.
 Status ResolveShardStore(const std::string& root_path, ResolvedShardStore* out,
                          IoStats* stats = nullptr);
 
@@ -99,11 +100,14 @@ Status ListShardStoreOrphans(const ResolvedShardStore& resolved,
 Status GarbageCollectShardStore(const ResolvedShardStore& resolved,
                                 uint64_t* removed = nullptr);
 
-/// Resolves `root_path` read-only and reads the serving SADM manifest.
-/// Convenience for callers that only need totals/flags.
+/// The one store opener: resolves `root_path` read-only (a SADJS manifest
+/// or a SEPR root) and reads the serving SADM manifest. When
+/// `manifest_path` is non-null it receives that manifest's path, from
+/// which the shard paths derive.
 Status ReadShardStoreManifest(const std::string& root_path,
                               ShardedAdjacencyManifest* out,
-                              IoStats* stats = nullptr);
+                              IoStats* stats = nullptr,
+                              std::string* manifest_path = nullptr);
 
 }  // namespace semis
 

@@ -233,11 +233,8 @@ Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
   }
   // Resolve a possible journaled-store root to its current epoch manifest
   // so the decoder threads open the epoch's shard files.
-  ResolvedShardStore resolved;
-  SEMIS_RETURN_IF_ERROR(ResolveShardStore(manifest_path, &resolved, stats_));
-  manifest_path_ = resolved.manifest_path;
-  SEMIS_RETURN_IF_ERROR(
-      ReadShardedAdjacencyManifest(manifest_path_, &manifest_, stats_));
+  SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(manifest_path, &manifest_,
+                                               stats_, &manifest_path_));
   if (stats_ != nullptr) stats_->sequential_scans++;
   pool_ = pool;
   block_bytes_ = ring.block_bytes != 0 ? ring.block_bytes

@@ -138,7 +138,11 @@ class PosixFileSystemImpl : public FileSystem {
   Status GetFileSize(const std::string& path, uint64_t* size) override {
     struct stat st;
     if (::stat(path.c_str(), &st) != 0) {
-      return Status::NotFound(ErrnoMessage("stat failed for", path, errno));
+      if (errno == ENOENT) {
+        return Status::NotFound(ErrnoMessage("stat failed for", path, errno));
+      }
+      return Status::IOError(ErrnoMessage("stat failed for", path, errno),
+                             errno);
     }
     *size = static_cast<uint64_t>(st.st_size);
     return Status::OK();

@@ -10,6 +10,9 @@ namespace semis {
 namespace {
 // Logical bytes charged per open run cursor (the reader's buffer size).
 constexpr size_t kCursorBufferBytes = 1 << 20;
+// Cap of the up-front buffer reservation (see Add), so an oversized
+// budget cannot make the reservation itself fail.
+constexpr size_t kMaxReserveBytes = size_t{1} << 30;
 }  // namespace
 
 // A sequential cursor over one sorted run file. Record layout:
@@ -68,6 +71,15 @@ Status ExternalSorter::Add(uint64_t key, const uint32_t* payload,
                            uint32_t len) {
   SEMIS_RETURN_IF_ERROR(ValidateOptions());
   if (finished_) return Status::InvalidArgument("Add after Finish");
+  if (index_.capacity() == 0) {
+    // Reserve a run's worth of buffer once: untouched pages cost no RSS,
+    // and a buffer that never regrows never holds two copies at once, so
+    // what is resident stays within the budget.
+    const size_t reserve =
+        std::min(options_.memory_budget_bytes, kMaxReserveBytes);
+    index_.reserve(reserve / sizeof(IndexEntry) + 1);
+    payload_pool_.reserve(reserve / sizeof(uint32_t) + 1);
+  }
   IndexEntry e;
   e.key = key;
   e.offset = payload_pool_.size();
@@ -120,9 +132,10 @@ Status ExternalSorter::SpillRun() {
   }
   SEMIS_RETURN_IF_ERROR(writer.Close());
   run_files_.push_back(path);
-  index_.clear();
-  payload_pool_.clear();
-  payload_pool_.shrink_to_fit();
+  // Release the buffers (the next Add reserves afresh), so the merge
+  // cursors never sit on top of a spilled run's pages.
+  std::vector<IndexEntry>().swap(index_);
+  std::vector<uint32_t>().swap(payload_pool_);
   mem_used_ = 0;
   if (options_.memory != nullptr) options_.memory->Set("sort-buffer", 0);
   return Status::OK();

@@ -26,6 +26,8 @@ class MemoryTracker;
 /// Tuning knobs for ExternalSorter.
 struct ExternalSorterOptions {
   /// Approximate bytes of record data buffered before a run is spilled.
+  /// The buffer is reserved once per run (up to 1 GiB) and released when
+  /// the run spills, so the resident buffer stays within this budget.
   /// Must be positive: a zero budget would degenerate to one spilled run
   /// per record and is rejected with InvalidArgument.
   size_t memory_budget_bytes = 64ull << 20;

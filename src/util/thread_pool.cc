@@ -6,10 +6,7 @@
 namespace semis {
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  num_threads = ResolveThreadCount(static_cast<uint32_t>(num_threads));
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });

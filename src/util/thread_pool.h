@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -25,11 +26,18 @@
 
 namespace semis {
 
+/// The one thread-count rule: `requested`, or
+/// std::thread::hardware_concurrency() when it is 0, and at least 1.
+inline uint32_t ResolveThreadCount(uint32_t requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
 /// Fixed pool of worker threads executing parallel-for jobs.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (0 = std::thread::hardware_concurrency(),
-  /// itself clamped to at least 1).
+  /// Spawns ResolveThreadCount(num_threads) workers.
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 

@@ -291,6 +291,19 @@ printf 'x 1 2\n' > "$work/bad.txt"
 if "$CLI" update "$work/gb.sadjs" --stream "$work/bad.txt" >/dev/null 2>&1; then
   fail "malformed update stream exited 0"
 fi
+# A garbage --compact-threshold is an error (exit 1 with a message), not
+# a silent 0 that disables auto-compaction -- for update and engine.
+for cmd in "update $work/gb.sadjs --stream $work/updates.txt" \
+           "engine $work/gb.sadjs --script $work/session.txt"; do
+  status=0
+  # shellcheck disable=SC2086  # $cmd splits into the command's arguments
+  "$CLI" $cmd --compact-threshold abc >/dev/null 2>"$work/thr.err" \
+      || status=$?
+  [ "$status" -eq 1 ] \
+      || fail "${cmd%% *} --compact-threshold abc exited $status, want 1"
+  grep -q "error: --compact-threshold" "$work/thr.err" \
+      || fail "${cmd%% *} --compact-threshold abc printed no error"
+done
 
 # --- pipeline from a hand-written edge list --------------------------------
 printf '# toy graph\n0\t1\n1\t2\n2\t0\n2\t3\n3\t4\n4\t0\n' > "$work/edges.txt"

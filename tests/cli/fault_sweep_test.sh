@@ -32,7 +32,7 @@
 #
 # Environment knobs (the nightly sweep widens these):
 #   FAULT_OPS          op classes to sweep (default
-#                      "open write sync syncdir rename link remove")
+#                      "open write sync syncdir rename link remove stat")
 #   FAULT_SEEDS        graph seeds, space-separated        (default "7")
 #   FAULT_GEOMS        "shards:threads" pairs              (default "1:1 3:2")
 #   MAX_SITES          sweep upper bound per op class      (default 400)
@@ -50,7 +50,7 @@ else
   trap 'rm -rf "$work"' EXIT
 fi
 
-OPS="${FAULT_OPS:-open write sync syncdir rename link remove}"
+OPS="${FAULT_OPS:-open write sync syncdir rename link remove stat}"
 SEEDS="${FAULT_SEEDS:-7}"
 GEOMS="${FAULT_GEOMS:-1:1 3:2}"
 MAX_SITES="${MAX_SITES:-400}"

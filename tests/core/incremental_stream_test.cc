@@ -29,6 +29,7 @@
 #include "graph/graph_io.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/edge_delta_file.h"
+#include "io/env.h"
 #include "test_util.h"
 
 namespace semis {
@@ -651,6 +652,80 @@ TEST_F(IncrementalStreamTest, RestartDropsCrashTornLogTail) {
   ASSERT_OK(third.Initialize(manifest, initial, EnginePipelineOptions{}));
   EXPECT_EQ(SetToVector(third.set()), SetToVector(second.set()));
   EXPECT_EQ(third.stats().recovered_log_tails, 0u);
+}
+
+// Initialize under a stat fault on every path containing `substr`:
+// "stat:1:EIO@<substr>" fails the first such probe only.
+Status InitializeUnderStatFault(const std::string& substr,
+                                const std::string& manifest,
+                                const BitVector& initial,
+                                ShardedStreamingMis* mis) {
+  FaultSpec spec;
+  SEMIS_RETURN_IF_ERROR(FaultSpec::Parse("stat:1:EIO@" + substr, &spec));
+  FaultInjectionFileSystem fs(PosixFileSystem(), spec);
+  ScopedFileSystem scoped(&fs);
+  Status s = mis->Initialize(manifest, initial, EnginePipelineOptions{});
+  EXPECT_EQ(fs.faults_injected(), 1u);
+  return s;
+}
+
+TEST_F(IncrementalStreamTest, RestartUnderStatFaultKeepsThePendingDelta) {
+  // A failed probe of the delta manifest is not "no overlay": starting
+  // fresh would truncate every log and lose the pending entries for good.
+  Graph base = GenerateErdosRenyi(50, 100, 4);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  std::string manifest = NewPath("statfault.sadjs");
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
+  BitVector initial = RandomMaximalSet(base, 6);
+
+  ShardedStreamingMis first;
+  ASSERT_OK(first.Initialize(manifest, initial, EnginePipelineOptions{}));
+  ASSERT_OK(first.ApplyBatch({EdgeUpdate::Insert(0, 49),
+                              EdgeUpdate::Insert(1, 48),
+                              EdgeUpdate::Insert(2, 47)}));
+  ASSERT_GT(first.stats().pending_delta_entries, 0u);
+
+  ShardedStreamingMis faulted;
+  Status s = InitializeUnderStatFault(".delta", manifest, initial, &faulted);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+
+  ShardedStreamingMis clean;
+  ASSERT_OK(clean.Initialize(manifest, initial, EnginePipelineOptions{}));
+  EXPECT_EQ(clean.stats().pending_delta_entries,
+            first.stats().pending_delta_entries);
+  EXPECT_EQ(SetToVector(clean.set()), SetToVector(first.set()));
+}
+
+TEST_F(IncrementalStreamTest, JournaledRestartUnderStatFaultDoesNotFallBack) {
+  // On a journaled store the first delta probe is recovery's epoch
+  // validation. A device error there is not damage: it must surface, not
+  // retire the current epoch in favor of the previous one.
+  Graph base = GenerateErdosRenyi(50, 100, 5);
+  std::string mono = WriteGraphFile(&scratch_, base);
+  std::string manifest = NewPath("statfault_journaled.sadjs");
+  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 2));
+  BitVector initial = RandomMaximalSet(base, 7);
+
+  ShardedStreamingMis first;
+  ASSERT_OK(first.Initialize(manifest, initial, EnginePipelineOptions{}));
+  ASSERT_OK(first.ApplyBatch({EdgeUpdate::Insert(3, 40)}));
+  ASSERT_OK(first.Compact(/*force=*/true));
+  ASSERT_OK(first.ApplyBatch({EdgeUpdate::Insert(4, 41)}));
+  ASSERT_OK(first.Compact(/*force=*/true));
+  ASSERT_OK(first.ApplyBatch({EdgeUpdate::Insert(5, 42)}));
+  const uint64_t epoch = first.store().current_epoch;
+  ASSERT_GE(epoch, 2u);
+
+  ShardedStreamingMis faulted;
+  Status s = InitializeUnderStatFault(".delta", manifest, initial, &faulted);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+
+  ShardedStreamingMis clean;
+  ASSERT_OK(clean.Initialize(manifest, initial, EnginePipelineOptions{}));
+  EXPECT_EQ(clean.store().current_epoch, epoch);
+  EXPECT_EQ(clean.stats().epoch_fallbacks, 0u);
+  EXPECT_EQ(clean.stats().pending_delta_entries,
+            first.stats().pending_delta_entries);
 }
 
 TEST_F(IncrementalStreamTest, StreamQualityTracksFromScratchSolve) {

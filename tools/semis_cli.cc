@@ -73,6 +73,7 @@
 //   compact         fold the pending delta into the base shards
 //   publish         freeze the successor into a new served epoch
 //   query v [v...]  membership queries against the CURRENT epoch
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -262,6 +263,28 @@ bool ParseCount(const std::string& text, long min, long max, uint32_t* out) {
   long v = std::strtol(text.c_str(), &end, 10);
   if (end == text.c_str() || *end != '\0' || v < min || v > max) return false;
   *out = static_cast<uint32_t>(v);
+  return true;
+}
+
+// Parses --compact-threshold (pending entries per shard that trigger an
+// automatic compaction; 0 disables), which `update` and `engine` share.
+// Defaults ON so the pending delta (in memory and on disk) stays bounded
+// no matter how long the stream runs. On bad input prints why and returns
+// false.
+bool ParseCompactThreshold(const Args& args, uint64_t* out) {
+  const std::string text = args.Get("compact-threshold", "65536");
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  // strtoull would accept leading blanks and a sign (wrapping "-1").
+  if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr,
+                 "error: --compact-threshold must be a non-negative count, "
+                 "got '%s'\n",
+                 text.c_str());
+    return false;
+  }
+  *out = v;
   return true;
 }
 
@@ -689,6 +712,8 @@ int CmdUpdate(const Args& args) {
     std::fprintf(stderr, "error: --batch must be a positive count\n");
     return 1;
   }
+  uint64_t compact_threshold = 0;
+  if (!ParseCompactThreshold(args, &compact_threshold)) return 1;
   const bool compact = args.Has("compact");
   const bool resort = args.Has("resort");
   if (args.Has("verify") && !compact) {
@@ -736,10 +761,7 @@ int CmdUpdate(const Args& args) {
   eopts.degree_sort = manifest.header.IsDegreeSorted();
   eopts.swap = SwapMode::kNone;
   eopts.pipeline.num_threads = num_threads;
-  // Auto-compaction defaults ON so the pending delta (in memory and on
-  // disk) stays bounded no matter how long the stream runs; 0 disables.
-  eopts.pipeline.compact_threshold_entries = std::strtoull(
-      args.Get("compact-threshold", "65536").c_str(), nullptr, 10);
+  eopts.pipeline.compact_threshold_entries = compact_threshold;
   // With --resort, every compaction that clears the degree-sorted flag
   // immediately restores it through the same epoch commit.
   eopts.pipeline.auto_resort = resort;
@@ -906,8 +928,9 @@ int CmdEngine(const Args& args) {
   if (args.positional.size() != 1 || !args.Has("script")) return Usage();
   MisEngineOptions opts;
   if (!ParseSolveOptions(args, &opts)) return 1;
-  opts.pipeline.compact_threshold_entries = std::strtoull(
-      args.Get("compact-threshold", "65536").c_str(), nullptr, 10);
+  if (!ParseCompactThreshold(args, &opts.pipeline.compact_threshold_entries)) {
+    return 1;
+  }
   if (!DegradeUnsortedManifest(args.positional[0], &opts)) return 1;
 
   MisEngine engine(opts);
