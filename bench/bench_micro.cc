@@ -85,10 +85,9 @@ void BM_ExternalSorter(benchmark::State& state) {
       }
     }
     if (!sorter.Finish().ok()) state.SkipWithError("finish failed");
-    uint64_t key = 0;
-    std::vector<uint32_t> payload;
+    SortedRecordView record;
     uint64_t count = 0;
-    while (sorter.Next(&key, &payload)) count++;
+    while (sorter.Next(&record)) count++;
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * records);

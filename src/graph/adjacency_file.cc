@@ -1,5 +1,8 @@
 #include "graph/adjacency_file.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/epoch_journal.h"
@@ -8,6 +11,8 @@ namespace semis {
 
 namespace {
 constexpr uint32_t kVersion = 1;  // of both SADJ files and SADS shards
+// A record's `u32 id  u32 degree` head, before its neighbors.
+constexpr size_t kRecordHeadBytes = 2 * sizeof(uint32_t);
 }  // namespace
 
 void AdjacencyRecordEncoder::Declare(uint64_t num_vertices,
@@ -31,10 +36,13 @@ Status AdjacencyRecordEncoder::Append(SequentialFileWriter* out, VertexId id,
     return Status::InvalidArgument(
         "vertex degree exceeds declared max_degree");
   }
-  SEMIS_RETURN_IF_ERROR(out->AppendU32(id));
-  SEMIS_RETURN_IF_ERROR(out->AppendU32(degree));
+  const size_t neighbor_bytes = sizeof(VertexId) * size_t{degree};
+  char* dst = nullptr;
+  SEMIS_RETURN_IF_ERROR(out->Reserve(kRecordHeadBytes + neighbor_bytes, &dst));
+  std::memcpy(dst, &id, sizeof(id));
+  std::memcpy(dst + sizeof(id), &degree, sizeof(degree));
   if (degree > 0) {
-    SEMIS_RETURN_IF_ERROR(out->Append(neighbors, sizeof(VertexId) * degree));
+    std::memcpy(dst + kRecordHeadBytes, neighbors, neighbor_bytes);
   }
   appended_vertices_++;
   appended_edges_ += degree;
@@ -158,69 +166,65 @@ Status AdjacencyShardReader::OpenFile(const std::string& path,
   return Status::OK();
 }
 
-namespace {
-
-// Stages one record for Next in the reader's reused neighbor buffer and
-// hands it to the caller's view on commit: the RecordBlock staging
-// protocol without a block, so the per-record path allocates nothing
-// once warm and leaves the view untouched on failure.
-struct ViewSink {
-  VertexId* BeginRecord(VertexId id, uint32_t degree) {
-    buffer->resize(degree);
-    staged = VertexRecordView{id, degree, buffer->data()};
-    return buffer->data();
-  }
-  void CommitRecord() { *out = staged; }
-  void AbandonRecord() {}
-
-  std::vector<VertexId>* buffer;
-  VertexRecordView* out;
-  VertexRecordView staged;
-};
-
-}  // namespace
-
-// The hot path keeps only the per-record reads and checks; the once per
-// shard end checks and the error messages live out of line, so Decode
-// stays small enough to inline into NextInto and Next.
-template <typename Sink>
-inline Status AdjacencyShardReader::Decode(Sink* sink, bool* has_next) {
-  if (records_seen_ == num_records_ || reader_.AtEof()) {
-    return EndOfShard(has_next);
-  }
-  uint32_t id = 0, degree = 0;
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&id));
-  SEMIS_RETURN_IF_ERROR(reader_.ReadU32(&degree));
+// The hot path keeps only the per-record window requests and checks; the
+// once per shard end checks, the truncation messages and the error
+// strings live out of line, so Decode stays small enough to inline into
+// NextInto and Next. Every check runs before `*rec` is written, so a
+// failed decode leaves the caller's view or block untouched.
+inline Status AdjacencyShardReader::Decode(VertexRecordView* rec,
+                                           bool* has_next) {
+  if (records_seen_ == num_records_) return EndOfShard(has_next);
+  const char* window = nullptr;
+  Status s = reader_.Window(kRecordHeadBytes, &window);
+  if (!s.ok()) return ShortRecord(std::move(s), 0, has_next);
+  // Record offsets are multiples of 4 (the headers are too), so the
+  // window is u32-aligned and is read as words in place.
+  const VertexId* words = reinterpret_cast<const VertexId*>(window);
+  const VertexId id = words[0];
+  const uint32_t degree = words[1];
   if (id >= num_vertices_) return Corrupt("record id out of range");
   if (degree > max_degree_) {
     return Corrupt("record degree exceeds header max_degree");
   }
-  // Decode straight into the sink; a failed read or a bad neighbor rolls
-  // the staged record back so a sink never exposes a half-record.
-  VertexId* dst = sink->BeginRecord(id, degree);
-  if (degree > 0) {
-    Status read = reader_.ReadExact(dst, sizeof(VertexId) * degree);
-    if (!read.ok()) {
-      sink->AbandonRecord();
-      return read;
-    }
-    for (uint32_t i = 0; i < degree; ++i) {
-      if (dst[i] >= num_vertices_) {
-        sink->AbandonRecord();
-        return Corrupt("neighbor id out of range");
-      }
-    }
+  const size_t bytes = kRecordHeadBytes + sizeof(VertexId) * size_t{degree};
+  s = reader_.Window(bytes, &window);
+  if (!s.ok()) return ShortRecord(std::move(s), degree, has_next);
+  const VertexId* neighbors =
+      reinterpret_cast<const VertexId*>(window + kRecordHeadBytes);
+  // One branch-free reduction checks every neighbor id (degree 0 gives
+  // 0, which the id check above already showed is in range).
+  VertexId max_neighbor = 0;
+  for (uint32_t i = 0; i < degree; ++i) {
+    max_neighbor = std::max(max_neighbor, neighbors[i]);
+  }
+  if (max_neighbor >= num_vertices_) {
+    return Corrupt("neighbor id out of range");
   }
   if (edges_seen_ + degree > num_edges_) {
-    sink->AbandonRecord();
     return Corrupt("more edges than declared");
   }
-  sink->CommitRecord();
+  reader_.Consume(bytes);
+  *rec = VertexRecordView{id, degree, neighbors};
   records_seen_++;
   edges_seen_ += degree;
   if (stats_ != nullptr) stats_->records_decoded++;
   *has_next = true;
   return Status::OK();
+}
+
+Status AdjacencyShardReader::ShortRecord(Status window, uint32_t degree,
+                                         bool* has_next) {
+  // A read error is never end of file.
+  if (!window.IsCorruption()) return window;
+  const size_t left = reader_.Buffered();
+  if (left == 0) return EndOfShard(has_next);
+  // Name the field the file ends in, as reading field by field would.
+  if (left < kRecordHeadBytes) {
+    const size_t field = sizeof(uint32_t);
+    return reader_.UnexpectedEof(field, left < field ? left : left - field);
+  }
+  return reader_.UnexpectedEof(sizeof(VertexId) * size_t{degree},
+                               left - kRecordHeadBytes);
 }
 
 Status AdjacencyShardReader::EndOfShard(bool* has_next) {
@@ -246,12 +250,20 @@ Status AdjacencyShardReader::Corrupt(const char* what) const {
 }
 
 Status AdjacencyShardReader::NextInto(RecordBlock* block, bool* has_next) {
-  return Decode(block, has_next);
+  VertexRecordView rec;
+  SEMIS_RETURN_IF_ERROR(Decode(&rec, has_next));
+  if (*has_next) {
+    VertexId* dst = block->BeginRecord(rec.id, rec.degree);
+    if (rec.degree > 0) {
+      std::memcpy(dst, rec.neighbors, sizeof(VertexId) * size_t{rec.degree});
+    }
+    block->CommitRecord();
+  }
+  return Status::OK();
 }
 
 Status AdjacencyShardReader::Next(VertexRecordView* view, bool* has_next) {
-  ViewSink sink{&neighbor_buf_, view, VertexRecordView()};
-  return Decode(&sink, has_next);
+  return Decode(view, has_next);
 }
 
 Status AdjacencyShardReader::Close() { return reader_.Close(); }

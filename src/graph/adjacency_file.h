@@ -19,6 +19,11 @@
 // is read as a one-shard store whose implicit manifest holds the header's
 // totals. AdjacencyFileScanner walks all shards of any store in order --
 // there is no random access, matching the paper's semi-external model.
+//
+// Records are decoded in place: a record view points into the file
+// reader's buffer and is valid until the next call on the reader that
+// returned it. Copy a record (or decode it into a RecordBlock) to keep it
+// longer.
 #ifndef SEMIS_GRAPH_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_ADJACENCY_FILE_H_
 
@@ -143,29 +148,32 @@ class AdjacencyShardReader {
   Status OpenFile(const std::string& path, uint32_t* magic,
                   ShardedAdjacencyManifest* manifest);
 
-  /// Decodes the next record straight into `block`'s arena (the zero-copy
-  /// hot path: no intermediate neighbor buffer). On success the record is
-  /// committed to the block; on any error the block is left exactly as it
-  /// was (a failed decode never publishes a half-record). `*has_next` is
-  /// false after the last record, with nothing appended.
+  /// Reads the next record as a view straight into the file reader's
+  /// buffer (SequentialFileReader::Window): nothing is copied, and the
+  /// view is valid until the next call on this reader. On any error the
+  /// view is left exactly as it was. `*has_next` is false after the last
+  /// record, with the view untouched.
   ///
   /// Validation: ids, degrees and neighbor ids are in range, and the
   /// records add up to the manifest's record and directed-edge totals
   /// with no trailing bytes; a truncated or inconsistent shard yields
-  /// Corruption.
-  Status NextInto(RecordBlock* block, bool* has_next);
-
-  /// Reads the next record as a view into a reader-owned neighbor buffer
-  /// (invalidated by the next call); same validation as NextInto.
+  /// Corruption, a failed read IOError (never a clean end).
   Status Next(VertexRecordView* view, bool* has_next);
+
+  /// Decodes the next record like Next and copies its neighbors into
+  /// `block`'s arena with one memcpy. On any error the block is left
+  /// exactly as it was (a failed decode never publishes a half-record).
+  Status NextInto(RecordBlock* block, bool* has_next);
 
   /// Closes the underlying file. Safe to call twice.
   Status Close();
 
  private:
-  // The one decode-and-validate routine behind NextInto and Next.
-  template <typename Sink>
-  Status Decode(Sink* sink, bool* has_next);
+  // The one decode-and-validate routine behind Next and NextInto.
+  Status Decode(VertexRecordView* rec, bool* has_next);
+  // A record window the file could not fill: a read error, the end of
+  // the records, or a record cut short inside its head or neighbors.
+  Status ShortRecord(Status window, uint32_t degree, bool* has_next);
   // The end of the records: truncation, trailing bytes and edge totals.
   Status EndOfShard(bool* has_next);
   Status Corrupt(const char* what) const;
@@ -179,7 +187,6 @@ class AdjacencyShardReader {
   uint64_t num_edges_ = 0;
   uint64_t records_seen_ = 0;
   uint64_t edges_seen_ = 0;
-  std::vector<VertexId> neighbor_buf_;  // backs the records Next returns
 };
 
 /// The sequential reader of every store: yields the records of all shards

@@ -1,7 +1,5 @@
 #include "graph/degree_sort.h"
 
-#include <vector>
-
 #include "graph/adjacency_file.h"
 #include "io/external_sorter.h"
 
@@ -38,15 +36,14 @@ Status BuildDegreeSortedAdjacencyFile(const std::string& input_path,
   SEMIS_RETURN_IF_ERROR(writer.Open(
       output_path, header.num_vertices, header.num_directed_edges,
       header.max_degree, header.flags | kAdjFlagDegreeSorted));
-  uint64_t key = 0;
-  std::vector<uint32_t> payload;
-  while (sorter.Next(&key, &payload)) {
-    VertexId id = static_cast<VertexId>(key & 0xFFFFFFFFull);
-    uint32_t degree = static_cast<uint32_t>(key >> 32);
-    if (degree != payload.size()) {
+  SortedRecordView sorted;
+  while (sorter.Next(&sorted)) {
+    VertexId id = static_cast<VertexId>(sorted.key & 0xFFFFFFFFull);
+    uint32_t degree = static_cast<uint32_t>(sorted.key >> 32);
+    if (degree != sorted.len) {
       return Status::Corruption("degree/payload mismatch during degree sort");
     }
-    SEMIS_RETURN_IF_ERROR(writer.AppendVertex(id, payload.data(), degree));
+    SEMIS_RETURN_IF_ERROR(writer.AppendVertex(id, sorted.payload, degree));
   }
   SEMIS_RETURN_IF_ERROR(sorter.status());
   return writer.Finish();

@@ -231,8 +231,7 @@ Status ConvertEdgeListToAdjacencyFile(const std::string& edge_list_path,
   {
     SequentialFileWriter writer(options.stats);
     SEMIS_RETURN_IF_ERROR(writer.Open(staged));
-    uint64_t key = 0;
-    std::vector<uint32_t> payload;
+    SortedRecordView sorted;
     std::vector<uint32_t> list;
     VertexId current = kInvalidVertex;
     auto flush_list = [&]() -> Status {
@@ -252,13 +251,13 @@ Status ConvertEdgeListToAdjacencyFile(const std::string& edge_list_path,
       list.clear();
       return Status::OK();
     };
-    while (sorter.Next(&key, &payload)) {
-      VertexId src = static_cast<VertexId>(key);
+    while (sorter.Next(&sorted)) {
+      VertexId src = static_cast<VertexId>(sorted.key);
       if (src != current) {
         SEMIS_RETURN_IF_ERROR(flush_list());
         current = src;
       }
-      list.insert(list.end(), payload.begin(), payload.end());
+      list.insert(list.end(), sorted.begin(), sorted.end());
     }
     SEMIS_RETURN_IF_ERROR(sorter.status());
     SEMIS_RETURN_IF_ERROR(flush_list());

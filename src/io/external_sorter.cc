@@ -1,6 +1,7 @@
 #include "io/external_sorter.h"
 
 #include <algorithm>
+#include <cstring>
 #include <queue>
 
 #include "util/memory_tracker.h"
@@ -17,7 +18,12 @@ constexpr size_t kMaxReserveBytes = size_t{1} << 30;
 
 // A sequential cursor over one sorted run file. Record layout:
 //   u64 key, u32 len, u32 payload[len]
+// The head record is parsed in place in the reader's window: `record`
+// holds its raw bytes (the layout above, so a merge copies it whole) and
+// `payload` views its words, both until the next Advance.
 struct ExternalSorter::RunCursor {
+  static constexpr size_t kHeadBytes = sizeof(uint64_t) + sizeof(uint32_t);
+
   explicit RunCursor(IoStats* stats) : reader(stats) {}
 
   Status Open(const std::string& path) {
@@ -25,26 +31,32 @@ struct ExternalSorter::RunCursor {
     return Advance();
   }
 
-  // Loads the next record into (key, payload). Sets `done` at EOF.
+  // Moves past the head record and parses the next one. Sets `done` at
+  // EOF.
   Status Advance() {
+    reader.Consume(record_bytes);
+    record_bytes = 0;
     if (reader.AtEof()) {
       done = true;
       return Status::OK();
     }
-    SEMIS_RETURN_IF_ERROR(reader.ReadU64(&key));
-    uint32_t len = 0;
-    SEMIS_RETURN_IF_ERROR(reader.ReadU32(&len));
-    payload.resize(len);
-    if (len > 0) {
-      SEMIS_RETURN_IF_ERROR(
-          reader.ReadExact(payload.data(), sizeof(uint32_t) * len));
-    }
+    SEMIS_RETURN_IF_ERROR(reader.Window(kHeadBytes, &record));
+    std::memcpy(&key, record, sizeof(key));
+    std::memcpy(&len, record + sizeof(key), sizeof(len));
+    const size_t bytes = kHeadBytes + sizeof(uint32_t) * size_t{len};
+    SEMIS_RETURN_IF_ERROR(reader.Window(bytes, &record));
+    // Records are 12 + 4*len bytes, so every one starts u32-aligned.
+    payload = reinterpret_cast<const uint32_t*>(record + kHeadBytes);
+    record_bytes = bytes;
     return Status::OK();
   }
 
   SequentialFileReader reader;
   uint64_t key = 0;
-  std::vector<uint32_t> payload;
+  uint32_t len = 0;
+  const uint32_t* payload = nullptr;
+  const char* record = nullptr;
+  size_t record_bytes = 0;
   bool done = false;
 };
 
@@ -168,13 +180,7 @@ Status ExternalSorter::MergeRuns(const std::vector<std::string>& inputs,
     auto [key, idx] = heap.top();
     heap.pop();
     RunCursor* c = cursors[idx].get();
-    SEMIS_RETURN_IF_ERROR(writer.AppendU64(c->key));
-    SEMIS_RETURN_IF_ERROR(
-        writer.AppendU32(static_cast<uint32_t>(c->payload.size())));
-    if (!c->payload.empty()) {
-      SEMIS_RETURN_IF_ERROR(writer.Append(
-          c->payload.data(), sizeof(uint32_t) * c->payload.size()));
-    }
+    SEMIS_RETURN_IF_ERROR(writer.Append(c->record, c->record_bytes));
     SEMIS_RETURN_IF_ERROR(c->Advance());
     if (!c->done) heap.emplace(c->key, idx);
   }
@@ -242,41 +248,30 @@ Status ExternalSorter::Finish() {
   return Status::OK();
 }
 
-bool ExternalSorter::NextFromMemory(uint64_t* key,
-                                    std::vector<uint32_t>* payload) {
-  if (mem_iter_ >= index_.size()) return false;
-  const IndexEntry& e = index_[mem_iter_++];
-  *key = e.key;
-  payload->assign(payload_pool_.begin() + e.offset,
-                  payload_pool_.begin() + e.offset + e.len);
-  return true;
-}
-
-bool ExternalSorter::NextFromRuns(uint64_t* key,
-                                  std::vector<uint32_t>* payload) {
-  size_t best = cursors_.size();
-  for (size_t i = 0; i < cursors_.size(); ++i) {
-    if (cursors_[i]->done) continue;
-    if (best == cursors_.size() || cursors_[i]->key < cursors_[best]->key) {
-      best = i;
+bool ExternalSorter::Next(SortedRecordView* record) {
+  if (!finished_ || !status_.ok()) return false;
+  if (run_files_.empty()) {
+    if (mem_iter_ >= index_.size()) return false;
+    const IndexEntry& e = index_[mem_iter_++];
+    *record = SortedRecordView{e.key, e.len, payload_pool_.data() + e.offset};
+    return true;
+  }
+  if (returned_ != nullptr) {
+    Status s = returned_->Advance();
+    returned_ = nullptr;
+    if (!s.ok()) {
+      status_ = s;
+      return false;
     }
   }
-  if (best == cursors_.size()) return false;
-  RunCursor* c = cursors_[best].get();
-  *key = c->key;
-  *payload = c->payload;
-  Status s = c->Advance();
-  if (!s.ok()) {
-    status_ = s;
-    return false;
+  RunCursor* best = nullptr;
+  for (const std::unique_ptr<RunCursor>& c : cursors_) {
+    if (!c->done && (best == nullptr || c->key < best->key)) best = c.get();
   }
+  if (best == nullptr) return false;
+  *record = SortedRecordView{best->key, best->len, best->payload};
+  returned_ = best;
   return true;
-}
-
-bool ExternalSorter::Next(uint64_t* key, std::vector<uint32_t>* payload) {
-  if (!finished_ || !status_.ok()) return false;
-  if (run_files_.empty()) return NextFromMemory(key, payload);
-  return NextFromRuns(key, payload);
 }
 
 }  // namespace semis

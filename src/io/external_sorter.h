@@ -44,6 +44,18 @@ struct ExternalSorterOptions {
   MemoryTracker* memory = nullptr;
 };
 
+/// One sorted record, viewed in place: `payload` points at `len` words
+/// owned by the sorter (its in-memory buffer or a run file's read window)
+/// and stays valid until the next call to ExternalSorter::Next.
+struct SortedRecordView {
+  uint64_t key = 0;
+  uint32_t len = 0;
+  const uint32_t* payload = nullptr;
+
+  const uint32_t* begin() const { return payload; }
+  const uint32_t* end() const { return payload + len; }
+};
+
 /// Sorts records of the form (u64 key, u32 payload[len]) by ascending key;
 /// ties are broken by insertion order of the run they landed in (stable
 /// within a run, deterministic overall).
@@ -52,7 +64,8 @@ struct ExternalSorterOptions {
 ///   ExternalSorter sorter(opts);
 ///   sorter.Add(key, data, len);  ... repeated ...
 ///   sorter.Finish();
-///   while (sorter.Next(&key, &payload)) { ... }
+///   SortedRecordView rec;
+///   while (sorter.Next(&rec)) { ... }
 class ExternalSorter {
  public:
   explicit ExternalSorter(ExternalSorterOptions options);
@@ -72,10 +85,11 @@ class ExternalSorter {
   /// exceeds the fan-in, and prepares the output stream.
   Status Finish();
 
-  /// Produces the next record in ascending key order. Returns false at the
-  /// end of the stream. Only valid after Finish(). Check status() when it
+  /// Produces the next record in ascending key order as a view (valid
+  /// until the next call; nothing is copied). Returns false at the end of
+  /// the stream. Only valid after Finish(). Check status() when it
   /// returns false to distinguish EOF from an I/O failure.
-  bool Next(uint64_t* key, std::vector<uint32_t>* payload);
+  bool Next(SortedRecordView* record);
 
   /// Error state of the output stream.
   const Status& status() const { return status_; }
@@ -96,8 +110,6 @@ class ExternalSorter {
   Status SpillRun();
   Status MergeRuns(const std::vector<std::string>& inputs,
                    const std::string& output);
-  bool NextFromMemory(uint64_t* key, std::vector<uint32_t>* payload);
-  bool NextFromRuns(uint64_t* key, std::vector<uint32_t>* payload);
 
   ExternalSorterOptions options_;
   ScratchDir owned_scratch_;
@@ -123,6 +135,9 @@ class ExternalSorter {
   size_t initial_runs_ = 0;
   size_t merge_passes_ = 0;
   size_t mem_iter_ = 0;
+  // The run whose record Next returned last: it advances on the next
+  // call, so the returned view stays valid until then.
+  RunCursor* returned_ = nullptr;
 };
 
 }  // namespace semis

@@ -1,5 +1,6 @@
 #include "io/file.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -7,10 +8,28 @@
 
 namespace semis {
 
+namespace {
+
+// Buffers are whole u32 words, so a window into one may be viewed as u32
+// records in place.
+size_t RoundUpToWords(size_t bytes) {
+  const size_t words = (bytes + sizeof(uint32_t) - 1) / sizeof(uint32_t);
+  return (words > 0 ? words : 1) * sizeof(uint32_t);
+}
+
+// Uninitialized on purpose: every byte is written before it is read.
+std::unique_ptr<uint32_t[]> AllocateWords(size_t bytes) {
+  return std::make_unique_for_overwrite<uint32_t[]>(bytes / sizeof(uint32_t));
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- writer --
 
 SequentialFileWriter::SequentialFileWriter(IoStats* stats, size_t buffer_bytes)
-    : stats_(stats), buffer_(buffer_bytes) {}
+    : stats_(stats),
+      capacity_(RoundUpToWords(buffer_bytes)),
+      buffer_(AllocateWords(capacity_)) {}
 
 SequentialFileWriter::~SequentialFileWriter() { Close().IgnoreError(); }
 
@@ -41,27 +60,32 @@ Status SequentialFileWriter::OpenAppend(const std::string& path) {
   return Status::OK();
 }
 
-Status SequentialFileWriter::Append(const void* data, size_t n) {
+Status SequentialFileWriter::AppendSlow(const void* data, size_t n) {
   if (file_ == nullptr) return Status::InvalidArgument("writer not open");
   if (!deferred_error_.ok()) return deferred_error_;
   const char* src = static_cast<const char*>(data);
-  bytes_written_ += n;
-  if (stats_ != nullptr) {
-    stats_->bytes_written += n;
-    stats_->write_calls++;
-  }
   while (n > 0) {
-    size_t space = buffer_.size() - buffered_;
-    if (space == 0) {
-      SEMIS_RETURN_IF_ERROR(Flush());
-      space = buffer_.size();
-    }
-    size_t chunk = n < space ? n : space;
-    std::memcpy(buffer_.data() + buffered_, src, chunk);
-    buffered_ += chunk;
+    if (buffered_ == capacity_) SEMIS_RETURN_IF_ERROR(Flush());
+    const size_t chunk = std::min(n, capacity_ - buffered_);
+    std::memcpy(bytes() + buffered_, src, chunk);
+    Advance(chunk);
     src += chunk;
     n -= chunk;
   }
+  return Status::OK();
+}
+
+Status SequentialFileWriter::ReserveSlow(size_t n, char** dst) {
+  if (file_ == nullptr) return Status::InvalidArgument("writer not open");
+  if (!deferred_error_.ok()) return deferred_error_;
+  SEMIS_RETURN_IF_ERROR(Flush());
+  if (n > capacity_) {
+    // The buffer is empty after the flush, so nothing is carried over.
+    capacity_ = RoundUpToWords(n);
+    buffer_ = AllocateWords(capacity_);
+  }
+  *dst = bytes();
+  Advance(n);
   return Status::OK();
 }
 
@@ -69,7 +93,8 @@ Status SequentialFileWriter::Flush() {
   if (file_ == nullptr) return Status::InvalidArgument("writer not open");
   if (!deferred_error_.ok()) return deferred_error_;
   if (buffered_ > 0) {
-    Status s = file_->Write(buffer_.data(), buffered_);
+    Status s = file_->Write(bytes(), buffered_);
+    if (stats_ != nullptr) stats_->write_calls++;
     if (!s.ok()) {
       // Poison the writer: the kernel may have accepted part of the
       // buffer, so re-flushing would duplicate bytes. The error (which
@@ -108,7 +133,9 @@ Status SequentialFileWriter::Close() {
 // ---------------------------------------------------------------- reader --
 
 SequentialFileReader::SequentialFileReader(IoStats* stats, size_t buffer_bytes)
-    : stats_(stats), buffer_(buffer_bytes) {}
+    : stats_(stats),
+      capacity_(RoundUpToWords(buffer_bytes)),
+      buffer_(AllocateWords(capacity_)) {}
 
 SequentialFileReader::~SequentialFileReader() { Close().IgnoreError(); }
 
@@ -125,20 +152,58 @@ Status SequentialFileReader::Open(const std::string& path) {
   return Status::OK();
 }
 
-Status SequentialFileReader::FillBuffer() {
-  buf_pos_ = 0;
-  buf_len_ = 0;
-  Status s = file_->Read(buffer_.data(), buffer_.size(), &buf_len_);
+Status SequentialFileReader::ReadAt(size_t at, size_t* got) {
+  const size_t want = capacity_ - at;
+  *got = 0;
+  Status s = file_->Read(bytes() + at, want, got);
+  if (stats_ != nullptr) stats_->read_calls++;
   if (!s.ok()) {
     // Latch: a failed fill must keep failing. Without this, a caller
     // probing AtEof() after the error would see an empty buffer and
     // conclude "clean end of file" -- silently truncated data.
     pending_error_ = s;
-    buf_len_ = 0;
+    *got = 0;
     return s;
   }
   // RawFile::Read is short only at end of file.
-  if (buf_len_ < buffer_.size()) hit_eof_ = true;
+  if (*got < want) hit_eof_ = true;
+  return Status::OK();
+}
+
+Status SequentialFileReader::FillBuffer() {
+  buf_pos_ = 0;
+  buf_len_ = 0;
+  return ReadAt(0, &buf_len_);
+}
+
+Status SequentialFileReader::FillWindow(size_t n, const char** data) {
+  if (file_ == nullptr) return Status::InvalidArgument("reader not open");
+  if (!pending_error_.ok()) return pending_error_;
+  const size_t tail = buf_len_ - buf_pos_;
+  if (n > capacity_) {
+    // A window larger than the buffer: grow it once, carrying the tail.
+    const size_t capacity = RoundUpToWords(n);
+    std::unique_ptr<uint32_t[]> grown = AllocateWords(capacity);
+    std::memcpy(grown.get(), bytes() + buf_pos_, tail);
+    buffer_ = std::move(grown);
+    capacity_ = capacity;
+  } else {
+    // Slide the unread tail to the front and refill behind it.
+    std::memmove(bytes(), bytes() + buf_pos_, tail);
+  }
+  buf_pos_ = 0;
+  buf_len_ = tail;
+  while (buf_len_ < n && !hit_eof_) {
+    size_t got = 0;
+    Status s = ReadAt(buf_len_, &got);
+    if (!s.ok()) {
+      buf_len_ = 0;
+      return s;
+    }
+    buf_len_ += got;
+  }
+  if (buf_len_ < n) return UnexpectedEof(n, buf_len_);
+  *data = bytes();
   return Status::OK();
 }
 
@@ -164,17 +229,14 @@ Status SequentialFileReader::Read(void* out, size_t n, size_t* out_n) {
     }
     size_t avail = buf_len_ - buf_pos_;
     size_t chunk = n < avail ? n : avail;
-    std::memcpy(dst, buffer_.data() + buf_pos_, chunk);
+    std::memcpy(dst, bytes() + buf_pos_, chunk);
     buf_pos_ += chunk;
     dst += chunk;
     got += chunk;
     n -= chunk;
   }
   bytes_read_ += got;
-  if (stats_ != nullptr) {
-    stats_->bytes_read += got;
-    stats_->read_calls++;
-  }
+  if (stats_ != nullptr) stats_->bytes_read += got;
   *out_n = got;
   return Status::OK();
 }
@@ -182,12 +244,14 @@ Status SequentialFileReader::Read(void* out, size_t n, size_t* out_n) {
 Status SequentialFileReader::ReadExact(void* out, size_t n) {
   size_t got = 0;
   SEMIS_RETURN_IF_ERROR(Read(out, n, &got));
-  if (got != n) {
-    return Status::Corruption("unexpected EOF in '" + path_ + "' (wanted " +
-                              std::to_string(n) + " bytes, got " +
-                              std::to_string(got) + ")");
-  }
+  if (got != n) return UnexpectedEof(n, got);
   return Status::OK();
+}
+
+Status SequentialFileReader::UnexpectedEof(size_t wanted, size_t got) const {
+  return Status::Corruption("unexpected EOF in '" + path_ + "' (wanted " +
+                            std::to_string(wanted) + " bytes, got " +
+                            std::to_string(got) + ")");
 }
 
 bool SequentialFileReader::AtEof() {
@@ -209,6 +273,8 @@ Status SequentialFileReader::Close() {
   Status close_status = file_->Close();
   if (!close_status.ok() && s.ok()) s = close_status;
   file_.reset();
+  // A closed reader has no window: the next call reports "not open".
+  buf_pos_ = buf_len_ = 0;
   return s;
 }
 
@@ -232,8 +298,9 @@ Status SyncFile(const std::string& path) {
 
 Status SyncParentDirectory(const std::string& path) {
   size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const std::string dir = slash == std::string::npos ? std::string(".")
+                          : slash == 0                ? std::string("/")
+                                                      : path.substr(0, slash);
   return RetryIo(nullptr,
                  [&] { return GetFileSystem()->SyncDirectory(dir); });
 }

@@ -5,13 +5,19 @@
 // semi-external model forbids. All bytes and metadata ops route through
 // the process-wide FileSystem seam (io/env.h), so fault-injection tests
 // exercise these exact code paths.
+//
+// Both classes also expose their buffer directly, so fixed-layout records
+// are parsed and built in place instead of being copied field by field:
+// SequentialFileReader::Window/Consume hand out a read-only view of the
+// next bytes, SequentialFileWriter::Reserve a slot for the next bytes.
+// The buffers are u32-aligned and never zero-filled.
 #ifndef SEMIS_IO_FILE_H_
 #define SEMIS_IO_FILE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "io/env.h"
 #include "io/io_stats.h"
@@ -40,8 +46,31 @@ class SequentialFileWriter {
   /// BytesWritten() counts only the bytes appended by this writer.
   Status OpenAppend(const std::string& path);
 
-  /// Appends `n` raw bytes.
-  Status Append(const void* data, size_t n);
+  /// Appends `n` raw bytes. Bytes that fit in the buffer cost one
+  /// memcpy; larger appends stream through it in buffer-sized chunks.
+  /// `data` may be null when `n` is 0.
+  Status Append(const void* data, size_t n) {
+    if (n != 0 && n <= capacity_ - buffered_ && Healthy()) {
+      std::memcpy(bytes() + buffered_, data, n);
+      Advance(n);
+      return Status::OK();
+    }
+    return AppendSlow(data, n);
+  }
+
+  /// Reserves the next `n` bytes of the file in the writer's buffer and
+  /// points `*dst` at them, so a record is built in place. The bytes
+  /// count as appended: the caller must fill all `n` of them before the
+  /// next call on this writer. A reservation larger than the buffer grows
+  /// it (once, to `n`).
+  Status Reserve(size_t n, char** dst) {
+    if (n <= capacity_ - buffered_ && Healthy()) {
+      *dst = bytes() + buffered_;
+      Advance(n);
+      return Status::OK();
+    }
+    return ReserveSlow(n, dst);
+  }
 
   /// Appends one little-endian u32.
   Status AppendU32(uint32_t v) { return Append(&v, sizeof(v)); }
@@ -73,8 +102,19 @@ class SequentialFileWriter {
   bool IsOpen() const { return file_ != nullptr; }
 
  private:
+  bool Healthy() const { return file_ != nullptr && deferred_error_.ok(); }
+  char* bytes() { return reinterpret_cast<char*>(buffer_.get()); }
+  void Advance(size_t n) {
+    buffered_ += n;
+    bytes_written_ += n;
+    if (stats_ != nullptr) stats_->bytes_written += n;
+  }
+  Status AppendSlow(const void* data, size_t n);
+  Status ReserveSlow(size_t n, char** dst);
+
   IoStats* stats_;
-  std::vector<char> buffer_;
+  size_t capacity_;                     // of buffer_, in bytes
+  std::unique_ptr<uint32_t[]> buffer_;  // u32 words, never zero-filled
   size_t buffered_ = 0;
   std::unique_ptr<RawFile> file_;
   // First write/sync failure; sticky until Close (see Flush()).
@@ -106,6 +146,42 @@ class SequentialFileReader {
   /// (0 at EOF).
   Status Read(void* out, size_t n, size_t* out_n);
 
+  /// Makes the next `n` unread bytes contiguous in the reader's buffer
+  /// and points `*data` at them, without consuming them. When a window
+  /// straddles the end of the buffer, the unread tail slides to the front
+  /// and the rest is refilled; a window larger than the buffer grows it
+  /// (once, to `n`), so callers check any length read from the file
+  /// before asking for it. Fails with Corruption, like ReadExact, when the
+  /// file ends first, and with the latched error after a failed read.
+  ///
+  /// Lifetime: the window is valid until the next call on this reader
+  /// other than Consume. Its start is 4-byte aligned whenever every read
+  /// since Open consumed a multiple of 4 bytes (all record formats of
+  /// this library do), so it may be viewed as u32 words in place.
+  Status Window(size_t n, const char** data) {
+    if (n <= buf_len_ - buf_pos_) {
+      *data = bytes() + buf_pos_;
+      return Status::OK();
+    }
+    return FillWindow(n, data);
+  }
+
+  /// Consumes `n` bytes of the current window (n <= its length). The
+  /// window's bytes stay readable until the next call.
+  void Consume(size_t n) {
+    buf_pos_ += n;
+    bytes_read_ += n;
+    if (stats_ != nullptr) stats_->bytes_read += n;
+  }
+
+  /// Unread bytes sitting in the buffer (what a failed Window found
+  /// before the end of the file).
+  size_t Buffered() const { return buf_len_ - buf_pos_; }
+
+  /// The Corruption ReadExact reports when only `got` of `wanted` bytes
+  /// were left in the file.
+  Status UnexpectedEof(size_t wanted, size_t got) const;
+
   /// Reads one little-endian u32.
   Status ReadU32(uint32_t* v) { return ReadExact(v, sizeof(*v)); }
 
@@ -129,10 +205,17 @@ class SequentialFileReader {
   const std::string& path() const { return path_; }
 
  private:
+  char* bytes() const { return reinterpret_cast<char*>(buffer_.get()); }
+  // One RawFile::Read into the buffer from byte `at` on (counted in
+  // IoStats::read_calls); sets hit_eof_ on a short read and latches a
+  // failure.
+  Status ReadAt(size_t at, size_t* got);
   Status FillBuffer();
+  Status FillWindow(size_t n, const char** data);
 
   IoStats* stats_;
-  std::vector<char> buffer_;
+  size_t capacity_;                     // of buffer_, in bytes
+  std::unique_ptr<uint32_t[]> buffer_;  // u32 words, never zero-filled
   size_t buf_pos_ = 0;
   size_t buf_len_ = 0;
   bool hit_eof_ = false;

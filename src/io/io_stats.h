@@ -16,8 +16,13 @@ namespace semis {
 /// Counters shared by all file-layer objects of one experiment. Plain
 /// struct (RocksDB Statistics style); attach a pointer to readers/writers.
 struct IoStats {
+  /// Bytes consumed by readers and appended by writers.
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
+  /// RawFile::Read calls (buffer refills, including the empty read that
+  /// finds the end of a file) and RawFile::Write calls (buffer flushes)
+  /// made through the FileSystem seam -- not calls of the buffered
+  /// reader/writer API, whose per-record calls cost no system call.
   uint64_t read_calls = 0;
   uint64_t write_calls = 0;
   uint64_t files_opened = 0;

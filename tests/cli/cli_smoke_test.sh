@@ -37,6 +37,14 @@ set -e
 "$CLI" sort "$work/g.adj" "$work/g.sadj" --memory-mb 8
 "$CLI" solve "$work/g.sadj" --algo twok --verify --out "$work/set.txt"
 [ -s "$work/set.txt" ] || fail "solve --out produced an empty member list"
+# The degree sort is reported when it ran: on the unsorted SADJ input, not
+# on the pre-sorted one.
+"$CLI" solve "$work/g.adj" --algo greedy > "$work/solve_unsorted.log"
+grep -q "degree sort in " "$work/solve_unsorted.log" \
+    || fail "solve on an unsorted file printed no degree sort line"
+"$CLI" solve "$work/g.sadj" --algo greedy > "$work/solve_sorted.log"
+grep -q "degree sort in " "$work/solve_sorted.log" \
+    && fail "solve on a pre-sorted file reported a degree sort"
 
 # --- sharded / parallel path ------------------------------------------------
 "$CLI" shard "$work/g.sadj" "$work/g.sadjs" --shards 4

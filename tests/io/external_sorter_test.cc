@@ -20,10 +20,9 @@ class ExternalSorterTest : public ScratchTest {};
 std::vector<std::pair<uint64_t, std::vector<uint32_t>>> Drain(
     ExternalSorter* sorter) {
   std::vector<std::pair<uint64_t, std::vector<uint32_t>>> out;
-  uint64_t key = 0;
-  std::vector<uint32_t> payload;
-  while (sorter->Next(&key, &payload)) {
-    out.emplace_back(key, payload);
+  SortedRecordView rec;
+  while (sorter->Next(&rec)) {
+    out.emplace_back(rec.key, std::vector<uint32_t>(rec.begin(), rec.end()));
   }
   EXPECT_OK(sorter->status());
   return out;
@@ -107,9 +106,8 @@ TEST_F(ExternalSorterTest, EmptyInput) {
   opts.scratch_dir = scratch_.path();
   ExternalSorter sorter(opts);
   ASSERT_OK(sorter.Finish());
-  uint64_t key;
-  std::vector<uint32_t> payload;
-  EXPECT_FALSE(sorter.Next(&key, &payload));
+  SortedRecordView rec;
+  EXPECT_FALSE(sorter.Next(&rec));
   EXPECT_OK(sorter.status());
 }
 
@@ -217,6 +215,71 @@ TEST_F(ExternalSorterTest, VariableLengthPayloads) {
   for (auto& [key, payload] : out) {
     EXPECT_EQ(payload, expected[key]) << "key " << key;
   }
+}
+
+// Records for the view tests: key k carries PayloadLen(k) words, word j
+// being PayloadWord(k, j), so a view is checked against its key alone.
+// Key kHugeKey's payload (1.2 MB) is larger than a run cursor's 1 MiB
+// read buffer.
+constexpr uint64_t kViewRecords = 60000;
+constexpr uint64_t kHugeKey = 31337;
+uint32_t PayloadLen(uint64_t key) {
+  return key == kHugeKey ? 300000u : static_cast<uint32_t>(key % 61);
+}
+uint32_t PayloadWord(uint64_t key, uint32_t j) {
+  return static_cast<uint32_t>(key * 977 + j);
+}
+
+// Adds the view-test records in a shuffled order, drains the sorter and
+// checks every record through its view.
+void ExpectViewsRoundTrip(ExternalSorterOptions opts, bool spills) {
+  ExternalSorter sorter(opts);
+  std::vector<uint64_t> keys(kViewRecords);
+  for (uint64_t k = 0; k < kViewRecords; ++k) keys[k] = k;
+  Random rng(21);
+  for (uint64_t i = kViewRecords - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.Uniform(i + 1)]);
+  }
+  std::vector<uint32_t> payload;
+  for (uint64_t key : keys) {
+    payload.resize(PayloadLen(key));
+    for (uint32_t j = 0; j < payload.size(); ++j) {
+      payload[j] = PayloadWord(key, j);
+    }
+    ASSERT_OK(sorter.Add(key, payload.data(), PayloadLen(key)));
+  }
+  ASSERT_OK(sorter.Finish());
+  EXPECT_EQ(sorter.NumInitialRuns() > 1, spills);
+
+  // Each view is read in full before the next call, which may invalidate
+  // it: a run's next record can slide or grow the window under it.
+  SortedRecordView rec;
+  uint64_t expected_key = 0;
+  while (sorter.Next(&rec)) {
+    ASSERT_EQ(rec.key, expected_key++);
+    ASSERT_EQ(rec.len, PayloadLen(rec.key));
+    for (uint32_t j = 0; j < rec.len; ++j) {
+      ASSERT_EQ(rec.payload[j], PayloadWord(rec.key, j))
+          << "key " << rec.key << " word " << j;
+    }
+  }
+  EXPECT_OK(sorter.status());
+  EXPECT_EQ(expected_key, kViewRecords);
+}
+
+TEST_F(ExternalSorterTest, InMemoryViewsRoundTrip) {
+  ExternalSorterOptions opts;
+  opts.scratch_dir = scratch_.path();
+  ExpectViewsRoundTrip(opts, /*spills=*/false);
+}
+
+TEST_F(ExternalSorterTest, SpilledViewsRoundTrip) {
+  // ~2 MiB runs: every run cursor slides its read window many times and
+  // grows it once for the huge record.
+  ExternalSorterOptions opts;
+  opts.memory_budget_bytes = 2 << 20;
+  opts.scratch_dir = scratch_.path();
+  ExpectViewsRoundTrip(opts, /*spills=*/true);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,140 @@ TEST_F(FileTest, LargePayloadCrossesBufferBoundary) {
   ASSERT_OK(r.ReadExact(back.data(), back.size() * sizeof(uint32_t)));
   EXPECT_TRUE(r.AtEof());
   EXPECT_EQ(back, data);
+}
+
+TEST_F(FileTest, IoCallCountersCountRawFileCalls) {
+  // read_calls and write_calls count RawFile::Read and RawFile::Write
+  // calls, not API calls: 3 MiB through 1 MiB buffers is three transfers
+  // each way, however finely the caller slices it.
+  constexpr size_t kBuffer = 1 << 20;
+  constexpr size_t kSize = 3 * kBuffer;
+  constexpr size_t kChunk = 4096;
+  std::string path = NewPath("counted");
+  std::vector<char> chunk(kChunk, 'x');
+  IoStats written;
+  {
+    SequentialFileWriter w(&written, kBuffer);
+    ASSERT_OK(w.Open(path));
+    for (size_t i = 0; i < kSize / kChunk; ++i) {
+      ASSERT_OK(w.Append(chunk.data(), kChunk));
+    }
+    ASSERT_OK(w.Close());
+  }
+  EXPECT_EQ(written.write_calls, (kSize + kBuffer - 1) / kBuffer);
+  EXPECT_EQ(written.bytes_written, kSize);
+
+  IoStats read;
+  SequentialFileReader r(&read, kBuffer);
+  ASSERT_OK(r.Open(path));
+  for (size_t i = 0; i < kSize / kChunk; ++i) {
+    ASSERT_OK(r.ReadExact(chunk.data(), kChunk));
+  }
+  EXPECT_EQ(read.read_calls, (kSize + kBuffer - 1) / kBuffer);
+  EXPECT_EQ(read.bytes_read, kSize);
+  // Finding the end of a file that filled the last buffer exactly takes
+  // one more (empty) read, and it is counted like any other.
+  EXPECT_TRUE(r.AtEof());
+  EXPECT_EQ(read.read_calls, kSize / kBuffer + 1);
+  EXPECT_EQ(read.bytes_read, kSize);
+}
+
+TEST_F(FileTest, WindowSlidesGrowsAndConsumes) {
+  // Words 0..N-1 in a file read through a 64-byte buffer: windows that
+  // straddle the buffer end slide and refill, one larger than the buffer
+  // grows it, and every window views the file's words in place.
+  constexpr uint32_t kWords = 1000;
+  std::string path = NewPath("window");
+  {
+    SequentialFileWriter w;
+    ASSERT_OK(w.Open(path));
+    for (uint32_t i = 0; i < kWords; ++i) ASSERT_OK(w.AppendU32(i));
+    ASSERT_OK(w.Close());
+  }
+  IoStats stats;
+  SequentialFileReader r(&stats, /*buffer_bytes=*/64);
+  ASSERT_OK(r.Open(path));
+  uint32_t next = 0;
+  for (size_t words : {3u, 12u, 7u, 40u, 1u, 100u, 16u}) {
+    const char* window = nullptr;
+    ASSERT_OK(r.Window(words * sizeof(uint32_t), &window));
+    const uint32_t* w = reinterpret_cast<const uint32_t*>(window);
+    for (size_t i = 0; i < words; ++i) ASSERT_EQ(w[i], next + i) << words;
+    r.Consume(words * sizeof(uint32_t));
+    next += static_cast<uint32_t>(words);
+  }
+  EXPECT_EQ(r.BytesRead(), next * sizeof(uint32_t));
+  EXPECT_EQ(stats.bytes_read, next * sizeof(uint32_t));
+  // A window reaching past the end of the file is Corruption, like
+  // ReadExact, and leaves the rest of the file buffered.
+  const char* window = nullptr;
+  Status s = r.Window((kWords - next + 1) * sizeof(uint32_t), &window);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(r.Buffered(), (kWords - next) * sizeof(uint32_t));
+  ASSERT_OK(r.Window(r.Buffered(), &window));
+  r.Consume(r.Buffered());
+  EXPECT_TRUE(r.AtEof());
+
+  // A closed reader keeps no window, even over bytes it had buffered.
+  SequentialFileReader closed;
+  ASSERT_OK(closed.Open(path));
+  ASSERT_OK(closed.Window(8, &window));
+  ASSERT_OK(closed.Close());
+  EXPECT_TRUE(closed.Window(8, &window).IsInvalidArgument());
+}
+
+TEST_F(FileTest, WindowRefillFaultIsIOErrorNotEof) {
+  std::string path = NewPath("window-fault");
+  std::vector<char> data(10000, 'a');
+  {
+    SequentialFileWriter w;
+    ASSERT_OK(w.Open(path));
+    ASSERT_OK(w.Append(data.data(), data.size()));
+    ASSERT_OK(w.Close());
+  }
+  FaultInjectionFileSystem fs(PosixFileSystem(),
+                              MustParseSpec("read:2:EIO:sticky"));
+  ScopedFileSystem scoped(&fs);
+  SequentialFileReader r(nullptr, /*buffer_bytes=*/4096);
+  ASSERT_OK(r.Open(path));
+  const char* window = nullptr;
+  ASSERT_OK(r.Window(4000, &window));
+  r.Consume(4000);
+  // The next window straddles the buffer end; its refill is read #2.
+  EXPECT_TRUE(r.Window(200, &window).IsIOError());
+  EXPECT_FALSE(r.AtEof()) << "an I/O error must not read as end of file";
+  EXPECT_TRUE(r.Window(8, &window).IsIOError());
+  EXPECT_TRUE(r.Close().IsIOError());
+}
+
+TEST_F(FileTest, ReserveBuildsBytesInPlace) {
+  // Reservations that fit, that need a flush first, and one larger than
+  // the buffer (which grows it) all land in order.
+  std::string path = NewPath("reserve");
+  IoStats stats;
+  std::vector<uint32_t> expected;
+  {
+    SequentialFileWriter w(&stats, /*buffer_bytes=*/64);
+    ASSERT_OK(w.Open(path));
+    for (size_t words : {4u, 10u, 5u, 100u, 3u}) {
+      char* dst = nullptr;
+      ASSERT_OK(w.Reserve(words * sizeof(uint32_t), &dst));
+      for (size_t i = 0; i < words; ++i) {
+        const uint32_t v = static_cast<uint32_t>(expected.size());
+        std::memcpy(dst + i * sizeof(uint32_t), &v, sizeof(v));
+        expected.push_back(v);
+      }
+    }
+    EXPECT_EQ(w.BytesWritten(), expected.size() * sizeof(uint32_t));
+    ASSERT_OK(w.Close());
+  }
+  EXPECT_EQ(stats.bytes_written, expected.size() * sizeof(uint32_t));
+  std::vector<uint32_t> back(expected.size());
+  SequentialFileReader r;
+  ASSERT_OK(r.Open(path));
+  ASSERT_OK(r.ReadExact(back.data(), back.size() * sizeof(uint32_t)));
+  EXPECT_TRUE(r.AtEof());
+  EXPECT_EQ(back, expected);
 }
 
 TEST_F(FileTest, ReadExactOnTruncatedFileIsCorruption) {

@@ -485,6 +485,9 @@ int CmdSolve(const Args& args) {
               MemoryTracker::FormatBytes(res.peak_memory_bytes).c_str(),
               static_cast<unsigned long long>(res.io.sequential_scans),
               MemoryTracker::FormatBytes(res.io.bytes_read).c_str());
+  if (res.sort_seconds > 0.0) {
+    std::printf("  degree sort in %.2fs\n", res.sort_seconds);
+  }
   if (opts.pipeline.num_shards > 1 && !is_manifest) {
     std::printf("  sharded pipeline: %u shards, %u threads, split in %.2fs\n",
                 opts.pipeline.num_shards, opts.pipeline.num_threads,
