@@ -1,30 +1,19 @@
-// Decode-path benchmark of the zero-copy block pipeline (ISSUE 5): how
-// fast a sharded file streams through ManifestOrderedShardCursor's
-// arena-backed block ring, and -- the point of the refactor -- how much
-// heap allocation the decode hot path performs.
-//
-// Three decode strategies over the same sharded PLRG:
-//   * BM_BlockCursorDecode/T: the block ring with T decoder threads and a
-//     persistent RecordBlockPool, i.e. the steady state of a long-running
-//     pipeline. Reports records/s plus the ring counters and
-//     allocs_per_record.
-//   * BM_WholeShardDecode: the RETIRED pre-block strategy (each shard
-//     decoded into one freshly allocated flat vector), kept here as the
-//     old-vs-new allocation baseline.
-//   * BM_SequentialShardDecode: the plain per-record sequential scanner.
-// Plus BM_BlockAppendSteadyState, which isolates the block layer and
-// aborts (SkipWithError -> nightly gate failure) if a steady-state append
-// pass allocates at all: the "zero heap allocations per record" claim,
-// enforced in the timing loop.
+// Decode-path benchmark: how fast a sharded file streams through the one
+// record scanner (AdjacencyFileScanner), and how much heap allocation the
+// read path performs.
+//   * BM_SequentialShardDecode: the per-record sequential scan of a
+//     16-shard store, the scan every ordered pass (greedy, Repair,
+//     verify) makes. Reports records/s and allocs_per_record.
+//   * BM_SeamReadSteadyState: the I/O seam in isolation; aborts
+//     (SkipWithError -> nightly gate failure) if a steady-state read pass
+//     allocates at all.
 //
 // Allocation counts come from global operator new/delete overrides local
-// to this binary; they count every allocation on the calling thread AND
-// the decoder threads, so the cursor cannot hide traffic in its workers.
+// to this binary.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -35,12 +24,10 @@
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
 #include "graph/graph_io.h"
-#include "graph/record_block.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/env.h"
 #include "io/file.h"
 #include "io/scratch.h"
-#include "util/thread_pool.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -77,9 +64,8 @@ uint64_t BenchVertexCount() {
 
 constexpr uint32_t kNumShards = 16;
 
-// Order-sensitive fold shared by every drain below, so all strategies are
-// held to one checksum definition: any reorder, drop, or duplication of a
-// record (or a stale copy of this formula) breaks the equality assertion.
+// Order-sensitive fold of a record stream: any reorder, drop, or
+// duplication of a record breaks the equality assertion below.
 void FoldRecord(VertexId id, const VertexId* begin, const VertexId* end,
                 uint64_t* position, uint64_t* checksum) {
   *checksum += (++*position) * (id + 1);
@@ -101,9 +87,9 @@ struct BlockDecodeEnv {
         BuildDegreeSortedAdjacencyFile(mono, sorted, DegreeSortOptions{}));
     manifest = scratch.NewFilePath("sharded.sadjs");
     SEMIS_BENCH_CHECK_OK(ShardAdjacencyFile(sorted, manifest, kNumShards));
-    // Order-sensitive checksum of the reference stream: every strategy
-    // below must reproduce it, so a reordering/dropping bug aborts the
-    // timing loop instead of producing a fast wrong number.
+    // Order-sensitive checksum of the reference stream: every timed scan
+    // must reproduce it, so a reordering/dropping bug aborts the timing
+    // loop instead of producing a fast wrong number.
     reference_checksum = 0;
     AdjacencyFileScanner scanner;
     SEMIS_BENCH_CHECK_OK(scanner.Open(manifest));
@@ -132,119 +118,6 @@ BlockDecodeEnv& Env() {
   static BlockDecodeEnv env;
   return env;
 }
-
-// The new path: record-granular block ring, persistent block pool.
-void BM_BlockCursorDecode(benchmark::State& state) {
-  BlockDecodeEnv& env = Env();
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  RecordBlockPool block_pool;  // shared across iterations: steady state
-  uint64_t allocs = 0;
-  IoStats io;
-  for (auto _ : state) {
-    ThreadPool pool(threads);
-    ManifestOrderedShardCursor cursor(&io);
-    BlockRingOptions ring;
-    ring.pool = &block_pool;
-    Status s = cursor.Open(env.manifest, &pool, ring);
-    uint64_t checksum = 0, position = 0;
-    if (s.ok()) {
-      const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-      VertexRecordView view;
-      bool has_next = false;
-      while (true) {
-        s = cursor.Next(&view, &has_next);
-        if (!s.ok() || !has_next) break;
-        FoldRecord(view.id, view.begin(), view.end(), &position, &checksum);
-      }
-      allocs += g_allocations.load(std::memory_order_relaxed) - before;
-      Status close = cursor.Close();
-      if (s.ok()) s = close;
-    }
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      break;
-    }
-    if (checksum != env.reference_checksum) {
-      state.SkipWithError("block cursor stream differs from the sequential "
-                          "sharded scan");
-      break;
-    }
-  }
-  const double records = static_cast<double>(state.iterations()) *
-                         static_cast<double>(env.num_vertices);
-  state.SetItemsProcessed(static_cast<int64_t>(records));
-  state.counters["threads"] = threads;
-  state.counters["allocs_per_record"] =
-      records > 0 ? static_cast<double>(allocs) / records : 0.0;
-  state.counters["blocks_decoded"] =
-      static_cast<double>(io.blocks_decoded) /
-      std::max<int64_t>(state.iterations(), 1);
-  state.counters["peak_buffered_bytes"] =
-      static_cast<double>(io.peak_buffered_bytes);
-  state.counters["arena_bytes"] = static_cast<double>(io.arena_bytes);
-}
-BENCHMARK(BM_BlockCursorDecode)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// The retired pre-block strategy: every shard decoded into one freshly
-// allocated flat word vector before the consumer sees a record. Kept as
-// the allocation/memory baseline the block ring is diffed against.
-void BM_WholeShardDecode(benchmark::State& state) {
-  BlockDecodeEnv& env = Env();
-  uint64_t allocs = 0;
-  size_t peak_shard_bytes = 0;
-  for (auto _ : state) {
-    ShardedAdjacencyManifest manifest;
-    Status s = ReadShardedAdjacencyManifest(env.manifest, &manifest);
-    uint64_t checksum = 0, position = 0;
-    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    for (uint32_t k = 0; s.ok() && k < manifest.num_shards(); ++k) {
-      std::vector<VertexId> words;  // fresh per shard, like the old slots
-      AdjacencyShardReader reader;
-      s = reader.Open(env.manifest, manifest, k);
-      VertexRecordView view;
-      bool has_next = false;
-      while (s.ok()) {
-        s = reader.Next(&view, &has_next);
-        if (!s.ok() || !has_next) break;
-        words.push_back(view.id);
-        words.push_back(view.degree);
-        words.insert(words.end(), view.begin(), view.end());
-      }
-      if (s.ok()) s = reader.Close();
-      peak_shard_bytes =
-          std::max(peak_shard_bytes, words.size() * sizeof(VertexId));
-      for (size_t i = 0; i < words.size();) {
-        const uint32_t degree = words[i + 1];
-        FoldRecord(words[i], words.data() + i + 2,
-                   words.data() + i + 2 + degree, &position, &checksum);
-        i += 2 + degree;
-      }
-    }
-    allocs += g_allocations.load(std::memory_order_relaxed) - before;
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      break;
-    }
-    if (checksum != env.reference_checksum) {
-      state.SkipWithError("whole-shard decode differs from the sequential "
-                          "sharded scan");
-      break;
-    }
-  }
-  const double records = static_cast<double>(state.iterations()) *
-                         static_cast<double>(env.num_vertices);
-  state.SetItemsProcessed(static_cast<int64_t>(records));
-  state.counters["allocs_per_record"] =
-      records > 0 ? static_cast<double>(allocs) / records : 0.0;
-  state.counters["peak_buffered_bytes"] =
-      static_cast<double>(peak_shard_bytes);
-}
-BENCHMARK(BM_WholeShardDecode)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The plain per-record sequential scanner, for the throughput column.
 void BM_SequentialShardDecode(benchmark::State& state) {
@@ -284,52 +157,11 @@ BENCHMARK(BM_SequentialShardDecode)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The block layer in isolation: appending records to a pooled block must
-// allocate NOTHING once the arena has grown to size. The assertion runs
-// inside the timing loop, so a regression fails the nightly gate.
-void BM_BlockAppendSteadyState(benchmark::State& state) {
-  constexpr uint32_t kRecords = 4096;
-  constexpr uint32_t kDegree = 8;
-  RecordBlockPool pool;
-  {
-    // Warm-up pass grows the arena to its steady-state capacity.
-    RecordBlock block = pool.Acquire();
-    for (uint32_t r = 0; r < kRecords; ++r) {
-      VertexId* dst = block.BeginRecord(r, kDegree);
-      for (uint32_t j = 0; j < kDegree; ++j) dst[j] = r + j;
-      block.CommitRecord();
-    }
-    pool.Release(std::move(block));
-  }
-  for (auto _ : state) {
-    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    RecordBlock block = pool.Acquire();
-    uint64_t checksum = 0;
-    for (uint32_t r = 0; r < kRecords; ++r) {
-      VertexId* dst = block.BeginRecord(r, kDegree);
-      for (uint32_t j = 0; j < kDegree; ++j) dst[j] = r + j;
-      block.CommitRecord();
-      checksum += block.view(r).neighbor(0);
-    }
-    benchmark::DoNotOptimize(checksum);
-    pool.Release(std::move(block));
-    const uint64_t allocs =
-        g_allocations.load(std::memory_order_relaxed) - before;
-    if (allocs != 0) {
-      state.SkipWithError("steady-state block append allocated");
-      break;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kRecords);
-  state.counters["allocs_per_record"] = 0.0;
-}
-BENCHMARK(BM_BlockAppendSteadyState)->Unit(benchmark::kMicrosecond);
-
-// The I/O seam in isolation (ISSUE 10): streaming a shard through
-// SequentialFileReader -- now one virtual FileSystem dispatch per buffer
+// The I/O seam in isolation: streaming a shard through
+// SequentialFileReader -- one virtual FileSystem dispatch per buffer
 // fill -- must stay allocation-free in steady state. The seam may cost a
 // branch and an indirect call, never a heap allocation; the assertion
-// runs inside the timing loop like BM_BlockAppendSteadyState above.
+// runs inside the timing loop.
 void BM_SeamReadSteadyState(benchmark::State& state) {
   BlockDecodeEnv& env = Env();
   const std::string shard0 = env.manifest + ".shard0";

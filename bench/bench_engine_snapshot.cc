@@ -1,5 +1,4 @@
-// MisEngine epoch-publication benchmark (ISSUE 6 "resident engine with
-// epoch-snapshot publication"): the cost of the reader and publisher
+// MisEngine epoch-publication benchmark: the cost of the reader and publisher
 // sides of the RCU path.
 //
 //   BM_SnapshotAcquire   Snapshot() acquisitions/sec on the reader side
@@ -32,7 +31,7 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/parallel_greedy.h"
+#include "core/greedy.h"
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
 #include "graph/graph_io.h"
@@ -81,8 +80,7 @@ struct EngineEnv {
       return false;
     }
     AlgoResult greedy;
-    ParallelGreedyOptions opts;
-    if (!RunParallelGreedy(*manifest, opts, &greedy).ok()) return false;
+    if (!RunGreedy(*manifest, {}, &greedy).ok()) return false;
     *initial = std::move(greedy.in_set);
     return true;
   }
@@ -127,7 +125,6 @@ void BM_SnapshotAcquire(benchmark::State& state) {
     return;
   }
   MisEngineOptions opts;
-  opts.pipeline.num_threads = static_cast<uint32_t>(state.range(0));
   // Keep the pending delta bounded however long the reader loop runs.
   opts.pipeline.compact_threshold_entries = 65536;
   MisEngine engine(opts);
@@ -169,29 +166,22 @@ void BM_SnapshotAcquire(benchmark::State& state) {
   mutator.join();
 
   state.SetItemsProcessed(state.iterations());
-  state.counters["mutator_threads"] = static_cast<double>(state.range(0));
   state.counters["epochs_published"] =
       static_cast<double>(published.load());
   state.counters["last_epoch"] = static_cast<double>(last_epoch);
 }
-BENCHMARK(BM_SnapshotAcquire)
-    ->Arg(1)
-    ->Arg(2)
-    ->UseRealTime();
+BENCHMARK(BM_SnapshotAcquire)->UseRealTime();
 
 void BM_EpochCycle(benchmark::State& state) {
   EngineEnv& env = Env();
   const size_t batch = static_cast<size_t>(state.range(0));
-  const uint32_t threads = static_cast<uint32_t>(state.range(1));
   std::string manifest;
   BitVector initial;
   if (!env.NewShardedCopy(&manifest, &initial)) {
     state.SkipWithError("sharded copy setup failed");
     return;
   }
-  MisEngineOptions opts;
-  opts.pipeline.num_threads = threads;
-  MisEngine engine(opts);
+  MisEngine engine{MisEngineOptions{}};
   if (!engine.OpenSharded(manifest, initial).ok()) {
     state.SkipWithError("OpenSharded failed");
     return;
@@ -226,7 +216,6 @@ void BM_EpochCycle(benchmark::State& state) {
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-  state.counters["threads"] = threads;
   state.counters["batch"] = static_cast<double>(batch);
   EpochSnapshotRef last = engine.Snapshot();
   if (last != nullptr) {
@@ -235,7 +224,8 @@ void BM_EpochCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EpochCycle)
-    ->ArgsProduct({{1024, 8192}, {1, 2}})
+    ->Arg(1024)
+    ->Arg(8192)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -1,6 +1,5 @@
-// Streaming-update benchmark (ISSUE 4 / ROADMAP "incremental updates
-// under edge streams on top of the sharded format"): updates/sec of the
-// batched apply -> parallel repair loop, and repair latency as a function
+// Streaming-update benchmark: updates/sec of the batched apply -> repair
+// loop, and repair latency as a function
 // of the batch size and of the pending delta size, over a sharded PLRG.
 //
 // Each iteration of BM_StreamApplyRepair applies one batch of updates and
@@ -14,12 +13,6 @@
 // shard over the run. A repair reads the in-memory delta state, not the
 // logs, so its cost must stay flat as the delta grows; the run reports
 // repair_ms_per_pass over its first and its last passes side by side.
-//
-// Determinism is asserted inside the timing loop: a 1-thread mirror
-// instance consumes the same stream (outside the timing), and the
-// measured instance's set must match it byte for byte after every repair
-// -- the executor's contract that thread count never changes the result,
-// with the 1-thread path being the sequential reference.
 //
 // All I/O flows through the default (posix) FileSystem seam of io/env.h;
 // the fixture aborts if a fault-injection env is armed, and
@@ -40,7 +33,7 @@
 #include <vector>
 
 #include "core/incremental_stream.h"
-#include "core/parallel_greedy.h"
+#include "core/greedy.h"
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
 #include "graph/graph_io.h"
@@ -115,8 +108,7 @@ struct StreamEnv {
       return false;
     }
     AlgoResult greedy;
-    ParallelGreedyOptions opts;
-    if (!RunParallelGreedy(*manifest, opts, &greedy).ok()) return false;
+    if (!RunGreedy(*manifest, {}, &greedy).ok()) return false;
     *initial = std::move(greedy.in_set);
     return true;
   }
@@ -130,14 +122,6 @@ struct StreamEnv {
 StreamEnv& Env() {
   static StreamEnv env;
   return env;
-}
-
-bool SameSet(const BitVector& a, const BitVector& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a.Test(i) != b.Test(i)) return false;
-  }
-  return true;
 }
 
 // Generates one batch: ~55% inserts of fresh random pairs, ~45% deletes
@@ -167,29 +151,16 @@ void MakeBatch(Random* rng, uint64_t n,
 void BM_StreamApplyRepair(benchmark::State& state) {
   StreamEnv& env = Env();
   const size_t batch = static_cast<size_t>(state.range(0));
-  const uint32_t threads = static_cast<uint32_t>(state.range(1));
 
-  std::string manifest, mirror_manifest;
-  BitVector initial, mirror_initial;
-  if (!env.NewShardedCopy(&manifest, &initial) ||
-      !env.NewShardedCopy(&mirror_manifest, &mirror_initial)) {
+  std::string manifest;
+  BitVector initial;
+  if (!env.NewShardedCopy(&manifest, &initial)) {
     state.SkipWithError("sharded copy setup failed");
     return;
   }
-  EnginePipelineOptions opts;
-  opts.num_threads = threads;
   auto mis = std::make_unique<ShardedStreamingMis>();
-  if (!mis->Initialize(manifest, initial, opts).ok()) {
+  if (!mis->Initialize(manifest, initial, EnginePipelineOptions{}).ok()) {
     state.SkipWithError("Initialize failed");
-    return;
-  }
-  // The sequential reference consuming the identical stream.
-  EnginePipelineOptions mirror_opts;
-  mirror_opts.num_threads = 1;
-  auto mirror = std::make_unique<ShardedStreamingMis>();
-  if (!mirror->Initialize(mirror_manifest, mirror_initial, mirror_opts)
-           .ok()) {
-    state.SkipWithError("mirror Initialize failed");
     return;
   }
 
@@ -211,24 +182,9 @@ void BM_StreamApplyRepair(benchmark::State& state) {
       state.ResumeTiming();
       break;
     }
-    // Determinism gate: the measured instance must match the 1-thread
-    // mirror after every repair.
-    s = mirror->ApplyBatch(updates);
-    if (s.ok()) s = mirror->Repair();
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      state.ResumeTiming();
-      break;
-    }
-    if (!SameSet(mis->set(), mirror->set())) {
-      state.SkipWithError("result differs from the 1-thread repair");
-      state.ResumeTiming();
-      break;
-    }
     // Reset the pending delta so the next repair sees exactly `batch`
     // entries again.
     s = mis->Compact(/*force=*/true);
-    if (s.ok()) s = mirror->Compact(/*force=*/true);
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
       state.ResumeTiming();
@@ -237,7 +193,6 @@ void BM_StreamApplyRepair(benchmark::State& state) {
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-  state.counters["threads"] = threads;
   state.counters["delta_entries"] = static_cast<double>(batch);
   const double updates_done = static_cast<double>(state.iterations()) *
                               static_cast<double>(batch);
@@ -251,7 +206,9 @@ void BM_StreamApplyRepair(benchmark::State& state) {
   state.counters["set_size"] = static_cast<double>(mis->set_size());
 }
 BENCHMARK(BM_StreamApplyRepair)
-    ->ArgsProduct({{1024, 8192, 65536}, {1, 2, 4}})
+    ->Arg(1024)
+    ->Arg(8192)
+    ->Arg(65536)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -264,25 +221,15 @@ constexpr size_t kAccumulatingBatch = 8192;
 
 void BM_StreamRepairAccumulating(benchmark::State& state) {
   StreamEnv& env = Env();
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-
-  std::string manifest, mirror_manifest;
-  BitVector initial, mirror_initial;
-  if (!env.NewShardedCopy(&manifest, &initial) ||
-      !env.NewShardedCopy(&mirror_manifest, &mirror_initial)) {
+  std::string manifest;
+  BitVector initial;
+  if (!env.NewShardedCopy(&manifest, &initial)) {
     state.SkipWithError("sharded copy setup failed");
     return;
   }
   // compact_threshold_entries stays 0: the delta only ever grows.
-  EnginePipelineOptions opts;
-  opts.num_threads = threads;
   auto mis = std::make_unique<ShardedStreamingMis>();
-  EnginePipelineOptions mirror_opts;
-  mirror_opts.num_threads = 1;
-  auto mirror = std::make_unique<ShardedStreamingMis>();
-  if (!mis->Initialize(manifest, initial, opts).ok() ||
-      !mirror->Initialize(mirror_manifest, mirror_initial, mirror_opts)
-           .ok()) {
+  if (!mis->Initialize(manifest, initial, EnginePipelineOptions{}).ok()) {
     state.SkipWithError("Initialize failed");
     return;
   }
@@ -300,16 +247,8 @@ void BM_StreamRepairAccumulating(benchmark::State& state) {
     if (s.ok()) s = mis->Repair();
     state.PauseTiming();
     repair_ms.push_back(1e3 * (mis->stats().repair_seconds - repair_before));
-    // Determinism gate, as in BM_StreamApplyRepair.
-    if (s.ok()) s = mirror->ApplyBatch(updates);
-    if (s.ok()) s = mirror->Repair();
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
-      state.ResumeTiming();
-      break;
-    }
-    if (!SameSet(mis->set(), mirror->set())) {
-      state.SkipWithError("result differs from the 1-thread repair");
       state.ResumeTiming();
       break;
     }
@@ -317,7 +256,6 @@ void BM_StreamRepairAccumulating(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kAccumulatingBatch));
-  state.counters["threads"] = threads;
   state.counters["delta_entries_per_shard"] =
       static_cast<double>(mis->stats().pending_delta_entries) / kNumShards;
   if (repair_ms.size() >= 2 * kRepairWindow) {
@@ -334,14 +272,12 @@ void BM_StreamRepairAccumulating(benchmark::State& state) {
   state.counters["set_size"] = static_cast<double>(mis->set_size());
 }
 BENCHMARK(BM_StreamRepairAccumulating)
-    ->Arg(1)
-    ->Arg(4)
     ->Iterations(kAccumulatingBatches)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Baseline for the "maintain vs re-solve" argument: one full sharded
-// greedy solve of the same graph, i.e. what every batch would cost
+// Baseline for the "maintain vs re-solve" argument: one full greedy
+// solve of the same sharded graph, i.e. what every batch would cost
 // without incremental maintenance.
 void BM_FromScratchGreedy(benchmark::State& state) {
   StreamEnv& env = Env();
@@ -353,9 +289,7 @@ void BM_FromScratchGreedy(benchmark::State& state) {
   }
   for (auto _ : state) {
     AlgoResult res;
-    ParallelGreedyOptions opts;
-    opts.pipeline.num_threads = static_cast<uint32_t>(state.range(0));
-    Status s = RunParallelGreedy(manifest, opts, &res);
+    Status s = RunGreedy(manifest, {}, &res);
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
       break;
@@ -364,15 +298,12 @@ void BM_FromScratchGreedy(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(env.directed_edges));
-  state.counters["threads"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_FromScratchGreedy)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The write side of the I/O seam in isolation (ISSUE 10): steady-state
+// The write side of the I/O seam in isolation: steady-state
 // appends through SequentialFileWriter -- buffered memcpy plus a
 // FileSystem write per buffer fill -- must allocate nothing once the
 // writer is open. The assertion runs inside the timing loop, so a heap

@@ -9,7 +9,7 @@
 //   * scaling: rounds/sec and edge throughput should grow with threads,
 //     because every pass fans the shards out over the pool. Two full
 //     passes per round put the ceiling at roughly half the greedy
-//     executor's single-pass decode rate;
+//     scan's single-pass decode rate;
 //   * quality: min-id ignores degrees, so its set trails degree-greedy.
 //     The startup banner prints the |IS| table on the PLRG/ER pair so
 //     nightly diffs catch quality drift alongside throughput drift.
@@ -34,7 +34,7 @@ namespace semis {
 namespace {
 
 // Vertex count knob: SEMIS_ROUNDS_VERTICES (default 250000, matching
-// bench_parallel_greedy so the two engines' columns are comparable).
+// bench_parallel_swap's SEMIS_PARALLEL_VERTICES).
 uint64_t BenchVertexCount() {
   const char* env = std::getenv("SEMIS_ROUNDS_VERTICES");
   if (env != nullptr) {

@@ -5,7 +5,6 @@
 
 #include "core/greedy.h"
 #include "core/one_k_swap.h"
-#include "core/parallel_greedy.h"
 #include "core/parallel_swap.h"
 #include "core/rounds_engine.h"
 #include "core/two_k_swap.h"
@@ -63,11 +62,10 @@ Status MisEngine::RunShardPipeline(const std::string& manifest_path,
         manifest_path, rounds_opts, &res->rounds, &seed_states));
     final_stage = &res->rounds;
   } else {
-    ParallelGreedyOptions greedy_opts;
-    greedy_opts.greedy.require_degree_sorted = require_degree_sorted;
-    greedy_opts.pipeline = options_.pipeline;
-    SEMIS_RETURN_IF_ERROR(RunParallelGreedyWithStates(
-        manifest_path, greedy_opts, &res->greedy, &seed_states));
+    GreedyOptions greedy_opts;
+    greedy_opts.require_degree_sorted = require_degree_sorted;
+    SEMIS_RETURN_IF_ERROR(RunGreedyWithStates(manifest_path, greedy_opts,
+                                              &res->greedy, &seed_states));
     final_stage = &res->greedy;
   }
   if (options_.swap != SwapMode::kNone) {
@@ -131,7 +129,7 @@ Status MisEngine::OpenMonolithic(const std::string& adjacency_path) {
       (options_.degree_sort && !rounds_engine) || input_sorted;
 
   // Sharded pipeline: the (sorted) file is split into shards up front and
-  // BOTH stages run over them -- greedy on the shard-pipelined executor,
+  // BOTH stages run over them -- greedy as one scan over the shards,
   // swaps on the parallel round executor, which is seeded with greedy's
   // final state array so the monolithic file is never re-read. Every
   // stage's result is byte-identical for any num_threads. The rounds

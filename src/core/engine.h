@@ -301,7 +301,7 @@ class MisEngine {
   // FailedPrecondition naming `verb` when the engine is read-only.
   Status GuardMutable(const char* verb) const;
   // The deduplicated shard pipeline shared by every sharded open: the
-  // configured engine (shard-pipelined greedy or min-id rounds) seeded
+  // configured engine (greedy scan or min-id rounds) seeded
   // into the parallel swap executor. `require_degree_sorted` gates the
   // manifest flag with the same error text as the monolithic path.
   Status RunShardPipeline(const std::string& manifest_path,

@@ -6,7 +6,6 @@
 #include "graph/degree_sort.h"
 #include "io/epoch_journal.h"
 #include "util/crash_point.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace semis {
@@ -292,8 +291,11 @@ Status ShardedStreamingMis::ApplyBatch(const std::vector<EdgeUpdate>& updates) {
   return Status::OK();
 }
 
-template <typename Source>
-Status ShardedStreamingMis::RepairScan(Source* source, uint64_t* added) {
+Status ShardedStreamingMis::Repair() {
+  if (!initialized_) {
+    return Status::InvalidArgument("streaming maintainer not initialized");
+  }
+  WallTimer timer;
   // The exact sequential rule of IncrementalMis::Repair, committed
   // strictly in global manifest order: a non-member with no live set
   // neighbor (base edges masked by deletes, plus inserted edges) joins,
@@ -301,20 +303,19 @@ Status ShardedStreamingMis::RepairScan(Source* source, uint64_t* added) {
   // state answers for every shard (docs/formats.md, "Determinism contract
   // of the streaming Repair"), so a record costs O(1) delta probes per
   // neighbor whatever the pending delta holds.
-  const auto in_set = [this](VertexId v) { return set_.Test(v); };
-  uint64_t remaining = 0;
-  for (const ShardInfo& info : manifest_.shards) {
-    remaining += info.num_records;
+  AdjacencyFileScanner scanner(&stats_.io);
+  SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path_));
+  if (scanner.header().num_vertices != n_) {
+    return Status::Corruption("store '" + manifest_path_ +
+                              "' changed its vertex count under Repair");
   }
+  const auto in_set = [this](VertexId v) { return set_.Test(v); };
+  uint64_t added = 0;
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
-    SEMIS_RETURN_IF_ERROR(source->Next(&rec, &has_next));
+    SEMIS_RETURN_IF_ERROR(scanner.Next(&rec, &has_next));
     if (!has_next) break;
-    if (remaining == 0) {
-      return Status::Corruption("record stream longer than the manifest");
-    }
-    remaining--;
     const VertexId u = rec.id;
     if (set_.Test(u)) continue;
     bool has_set_neighbor = false;
@@ -325,43 +326,8 @@ Status ShardedStreamingMis::RepairScan(Source* source, uint64_t* added) {
     if (!has_set_neighbor && !delta_.AnyInsertedNeighbor(u, in_set)) {
       set_.Set(u);
       set_size_++;
-      (*added)++;
+      added++;
     }
-  }
-  return Status::OK();
-}
-
-Status ShardedStreamingMis::Repair() {
-  if (!initialized_) {
-    return Status::InvalidArgument("streaming maintainer not initialized");
-  }
-  WallTimer timer;
-  uint64_t added = 0;
-  const uint32_t num_threads = ResolveThreadCount(options_.num_threads);
-  if (num_threads <= 1) {
-    // The sequential reference path: a plain forward scan over the shards.
-    AdjacencyFileScanner scanner(&stats_.io);
-    SEMIS_RETURN_IF_ERROR(scanner.Open(manifest_path_));
-    SEMIS_RETURN_IF_ERROR(RepairScan(&scanner, &added));
-  } else {
-    // Decoder threads prefetch shards while this thread commits in
-    // manifest order -- the RunParallelGreedy pipeline. The commit
-    // sequence is identical to the sequential path by construction.
-    ThreadPool pool(num_threads);
-    ManifestOrderedShardCursor cursor(&stats_.io);
-    BlockRingOptions ring;
-    ring.block_bytes = options_.decode_block_bytes;
-    ring.max_buffered_bytes = options_.max_buffered_bytes;
-    SEMIS_RETURN_IF_ERROR(cursor.Open(manifest_path_, &pool, ring));
-    Status scan = RepairScan(&cursor, &added);
-    Status close = cursor.Close();
-    SEMIS_RETURN_IF_ERROR(scan);
-    SEMIS_RETURN_IF_ERROR(close);
-    // The pipeline's decoded-shard buffer rides on top of the maintainer's
-    // own state.
-    stats_.peak_memory_bytes =
-        std::max(stats_.peak_memory_bytes,
-                 CurrentMemoryBytes() + cursor.peak_buffered_bytes());
   }
   stats_.repair_passes++;
   stats_.repair_added += added;
@@ -380,6 +346,13 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
   SequentialFileWriter writer(&stats_.io);
   SEMIS_RETURN_IF_ERROR(writer.Open(out_path));
   SEMIS_RETURN_IF_ERROR(WriteAdjacencyShardHeader(&writer, shard, n_));
+  // The folded totals are only known at the end (new_info counts them for
+  // the manifest), so the encoder checks each record: an id below n_ and a
+  // degree below n_, which holds after inserts for a record without
+  // duplicate neighbors or self-loops.
+  AdjacencyRecordEncoder encoder;
+  encoder.Declare(n_, /*num_directed_edges=*/0,
+                  static_cast<uint32_t>(n_ > 0 ? n_ - 1 : 0));
 
   std::vector<VertexId> neighbors;
   std::vector<VertexId> extra;
@@ -415,12 +388,8 @@ Status ShardedStreamingMis::CompactShard(uint32_t shard,
       }
     }
     const uint32_t degree = static_cast<uint32_t>(neighbors.size());
-    SEMIS_RETURN_IF_ERROR(writer.AppendU32(u));
-    SEMIS_RETURN_IF_ERROR(writer.AppendU32(degree));
-    if (degree > 0) {
-      SEMIS_RETURN_IF_ERROR(
-          writer.Append(neighbors.data(), sizeof(VertexId) * degree));
-    }
+    SEMIS_RETURN_IF_ERROR(
+        encoder.Append(&writer, u, neighbors.data(), degree));
     new_info->num_records++;
     new_info->num_directed_edges += degree;
     *max_degree_seen = std::max(*max_degree_seen, degree);

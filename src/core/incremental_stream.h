@@ -18,14 +18,13 @@
 // Repair() restores maximality with ONE pass over the base shards,
 // probing the global delta state in O(1) per base neighbor -- a repair
 // costs one base scan however large the pending delta has grown. The
-// pass commits the exact sequential rule of IncrementalMis::Repair
-// strictly in global manifest order while worker threads prefetch and
-// decode shards ahead of it through ManifestOrderedShardCursor -- the
-// same pipeline (and the same determinism contract) as RunParallelGreedy:
+// pass reads the shards through AdjacencyFileScanner and commits the
+// exact sequential rule of IncrementalMis::Repair strictly in global
+// manifest order, like the greedy scan (core/greedy.h):
 //
-//   the repaired set is byte-identical for EVERY shard/thread count, and
-//   equal to sequential IncrementalMis::Repair on the equivalent
-//   monolithic file; num_threads <= 1 is the plain sequential scan.
+//   the repaired set is byte-identical for EVERY shard count, and equal
+//   to sequential IncrementalMis::Repair on the equivalent monolithic
+//   file.
 //
 // Compact() folds saturated shards' deltas into the base: each saturated
 // shard is rewritten from the same global delta state, with deletions
@@ -117,8 +116,8 @@ struct StreamingMisStats {
   uint64_t pending_delta_entries = 0;
   /// I/O of the whole session (routing, repair scans, compaction).
   IoStats io;
-  /// Peak logical bytes of the maintainer's in-memory structures,
-  /// including the repair pipeline's decoded-shard buffer high-water mark.
+  /// Peak logical bytes of the maintainer's in-memory structures, plus
+  /// the re-sort's sorter memory while Resort() runs.
   size_t peak_memory_bytes = 0;
   /// Wall-clock seconds by stage.
   double apply_seconds = 0.0;
@@ -155,11 +154,9 @@ class ShardedStreamingMis {
   /// maximality.
   ///
   /// `options` is the shared pipeline struct: this layer reads
-  /// `num_threads` / `decode_block_bytes` / `max_buffered_bytes` (the
-  /// Repair pipeline, as in ParallelGreedyOptions -- the repaired set is
-  /// independent of all three by construction) and
-  /// `compact_threshold_entries`; `num_shards` is ignored (the manifest
-  /// fixes it).
+  /// `compact_threshold_entries` and `auto_resort`; `num_shards` is
+  /// ignored (the manifest fixes it), and so is `num_threads` (Repair is
+  /// one sequential scan).
   Status Initialize(const std::string& manifest_path,
                     const BitVector& initial_set,
                     const EnginePipelineOptions& options);
@@ -220,7 +217,7 @@ class ShardedStreamingMis {
   /// routing map, membership, the global delta state (inserted adjacency,
   /// deleted keys, gate bits) and the pending log mirror.
   /// `stats().peak_memory_bytes` is the high-water mark of this figure
-  /// (plus the repair pipeline's decode buffer).
+  /// (plus the re-sort's sorter memory).
   size_t CurrentMemoryBytes() const;
 
   /// The SADJS manifest as of the last Initialize/Compact/Resort.
@@ -243,10 +240,6 @@ class ShardedStreamingMis {
   // and calls `fn` once per update in stream order.
   template <typename Fn>
   Status ForEachMergedPendingEntry(Fn&& fn) const;
-  // The shared Repair commit rule, applied to records strictly in
-  // manifest order. `Source` exposes the view-API Next(&view, &has_next).
-  template <typename Source>
-  Status RepairScan(Source* source, uint64_t* added);
   // Writes shard `shard` with its delta folded in to `out_path` (a staged
   // file of the next epoch).
   Status CompactShard(uint32_t shard, const std::string& out_path,

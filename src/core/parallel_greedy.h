@@ -1,22 +1,11 @@
 // Copyright (c) the semis authors.
-// Sharded executor for Algorithm 1 (GREEDY) over a SADJS file
-// (graph/sharded_adjacency_file.h). The greedy scan is inherently
-// sequential -- each record's outcome depends on every earlier record --
-// so the parallelism is a pipeline, not a fan-out: worker threads
-// prefetch and decode shards ahead of the scan while the calling thread
-// commits records strictly in global manifest order.
-//
-// Concurrency contract: no mutex of its own -- all shared state is
-// inside ManifestOrderedShardCursor's annotated block ring; the commit
-// loop runs single-threaded on the calling thread. See
-// docs/architecture.md ("Static analysis") for the conventions.
-//
-// Determinism contract: the commit order equals the manifest order for
-// every shard/thread count, so the final state array (and therefore the
-// independent set) is byte-identical to sequential RunGreedy on the
-// equivalent monolithic file. num_threads <= 1 runs the plain sequential
-// scan over the shards (no pool, no buffering): it IS the existing
-// sequential path, merely reading sharded input.
+// Options and entry point of Algorithm 1 over a sharded store, kept for
+// the end-to-end benchmark (perfbench/), which calls them by name. The
+// greedy scan is inherently sequential -- each record's outcome depends
+// on every earlier record -- so there is no parallel executor behind
+// this header: RunParallelGreedyWithStates is RunGreedyWithStates, which
+// reads a SADJ file, a SADJS manifest or a journaled root through the
+// one AdjacencyFileScanner. New code calls core/greedy.h directly.
 #ifndef SEMIS_CORE_PARALLEL_GREEDY_H_
 #define SEMIS_CORE_PARALLEL_GREEDY_H_
 
@@ -30,34 +19,21 @@
 
 namespace semis {
 
-/// Options for the sharded greedy executor.
+/// Options of RunParallelGreedyWithStates.
 struct ParallelGreedyOptions {
-  /// Options shared with the sequential scan (require_degree_sorted is
-  /// enforced against the SADJS manifest flags, with the same error as
-  /// the monolithic path).
+  /// Options of the greedy scan.
   GreedyOptions greedy;
-  /// Shared pipeline knobs. This executor reads `num_threads` (decoder
-  /// threads prefetching shards), `decode_block_bytes`, and
-  /// `max_buffered_bytes`; the manifest fixes the shard count, so
-  /// `num_shards` is ignored.
+  /// Shared pipeline knobs; the greedy scan reads none of them.
   EnginePipelineOptions pipeline;
 };
 
-/// Runs Algorithm 1 over the sharded adjacency file rooted at
-/// `manifest_path`. On return `result->in_set` holds a maximal
-/// independent set identical to sequential RunGreedy on the equivalent
-/// monolithic file.
-Status RunParallelGreedy(const std::string& manifest_path,
-                         const ParallelGreedyOptions& options,
-                         AlgoResult* result);
-
-/// As RunParallelGreedy, but additionally exposes the final state array
-/// (kI / kN per vertex) so the solver can hand it straight to the
-/// parallel swap executor without re-deriving it from the bit vector.
-Status RunParallelGreedyWithStates(const std::string& manifest_path,
-                                   const ParallelGreedyOptions& options,
-                                   AlgoResult* result,
-                                   std::vector<VState>* states);
+/// RunGreedyWithStates over the store at `manifest_path`.
+inline Status RunParallelGreedyWithStates(const std::string& manifest_path,
+                                          const ParallelGreedyOptions& options,
+                                          AlgoResult* result,
+                                          std::vector<VState>* states) {
+  return RunGreedyWithStates(manifest_path, options.greedy, result, states);
+}
 
 }  // namespace semis
 

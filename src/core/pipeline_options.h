@@ -1,17 +1,16 @@
 // Copyright (c) the semis authors.
 // The one knob struct shared by every layer that drives the sharded
-// execution pipeline: the solver facade, the engine, the shard-pipelined
-// greedy executor, and the streaming maintainer. Before this header each
-// layer carried its own copy of the same fields (num_shards here,
-// num_threads there, block-ring geometry in two places), which meant a
-// caller threading a configuration through the stack had to re-plumb it
-// at every boundary. Each consumer documents which fields it reads;
-// unread fields are ignored, never an error, so one filled-in struct can
-// travel the whole stack.
+// execution pipeline: the solver facade, the engine, the parallel
+// executors (swap, rounds), and the streaming maintainer. Before this
+// header each layer carried its own copy of the same fields (num_shards
+// here, num_threads there), which meant a caller threading a
+// configuration through the stack had to re-plumb it at every boundary.
+// Each consumer documents which fields it reads; unread fields are
+// ignored, never an error, so one filled-in struct can travel the whole
+// stack.
 #ifndef SEMIS_CORE_PIPELINE_OPTIONS_H_
 #define SEMIS_CORE_PIPELINE_OPTIONS_H_
 
-#include <cstddef>
 #include <cstdint>
 
 namespace semis {
@@ -23,7 +22,7 @@ namespace semis {
 /// docs/architecture.md "Engines" for the trade-off.
 enum class SolveEngine : uint8_t {
   /// The paper's pipeline: Algorithm 1's strictly-ordered greedy commit
-  /// scan (degree order when sorted), shard-pipelined for I/O overlap.
+  /// scan (degree order when sorted), one sequential scan of the store.
   kGreedySwap = 0,
   /// Min-id rounds (core/rounds_engine.h): synchronous rounds of
   /// "lowest-id active neighbor wins", fully parallel within a round.
@@ -40,7 +39,7 @@ enum class SolveEngine : uint8_t {
 struct EnginePipelineOptions {
   /// The solve engine behind Solver/MisEngine opens (and `semis_cli
   /// solve --engine`). Executors that implement a single engine
-  /// (RunParallelGreedy, RunMinIdRounds) ignore it.
+  /// (RunMinIdRounds, RunParallelSwap) ignore it.
   SolveEngine engine = SolveEngine::kGreedySwap;
 
   /// Number of adjacency shards when a monolithic input is split for the
@@ -49,21 +48,13 @@ struct EnginePipelineOptions {
   /// input is already sharded -- the file fixes the shard count.
   uint32_t num_shards = 0;
 
-  /// Worker threads of the parallel executors and of the repair pipeline
-  /// (0 = hardware concurrency). <= 1 runs the plain sequential scan.
-  /// The result is independent of this value by construction.
+  /// Worker threads of the two executors whose work fans out over
+  /// shards: the parallel swap rounds and the min-id rounds engine
+  /// (0 = hardware concurrency; <= 1 runs their sequential reference
+  /// loop). The ordered commit scans (greedy, streaming Repair) are
+  /// sequential and do not read it. The result is independent of this
+  /// value by construction.
   uint32_t num_threads = 1;
-
-  /// Payload bytes per decode block of the block ring feeding the
-  /// manifest-ordered commit scans (0 = kDefaultDecodeBlockBytes). The
-  /// result is independent of this value by construction.
-  size_t decode_block_bytes = 0;
-
-  /// Byte budget of decoded-but-unconsumed records buffered ahead of a
-  /// commit scan (0 = 2 * block bytes * (threads + 1)). Bounds the
-  /// pipeline's extra memory regardless of shard sizes; the result is
-  /// independent of this value by construction.
-  size_t max_buffered_bytes = 0;
 
   /// Streaming maintenance only: a shard whose delta log reaches this
   /// many live entries is saturated and compacted by the next Compact()

@@ -33,7 +33,7 @@
 
 #include "core/mis_common.h"
 #include "core/pipeline_options.h"
-#include "graph/record_block.h"
+#include "graph/adjacency_file.h"
 #include "util/status.h"
 
 namespace semis {
@@ -50,8 +50,7 @@ struct RoundObservation {
 struct MinIdRoundsOptions {
   /// num_threads drives the per-round shard fan-out (<= 1 runs the
   /// sequential reference loop -- the same rules, one thread, no pool).
-  /// The other pipeline knobs are accepted for uniformity and ignored:
-  /// rounds re-scan shards every round, so there is no prefetch ring.
+  /// The other pipeline knobs are ignored.
   EnginePipelineOptions pipeline;
   /// Safety cap on rounds (0 = run until the frontier is empty). A capped
   /// run returns with undecided vertices still in the frontier; the
@@ -66,8 +65,7 @@ struct MinIdRoundsOptions {
 
 /// The per-record round rules, shared verbatim by the parallel executor
 /// and the sequential reference below so "1 thread == reference" is an
-/// identity by construction (the same move greedy.h makes with
-/// GreedyCommitRecord).
+/// identity by construction.
 ///
 /// Propose: an undecided vertex wins iff no undecided neighbor has a
 /// smaller id. Reads only state frozen at the round's entry barrier.

@@ -45,8 +45,8 @@ class Solver {
 
   /// Solves a graph that is ALREADY sharded (SADJS manifest; see
   /// graph/sharded_adjacency_file.h) without re-sorting or re-splitting:
-  /// greedy on the shard-pipelined executor, then the swap stage on the
-  /// parallel round executor, both with `options.pipeline.num_threads`
+  /// one greedy scan over the shards, then the swap stage on the
+  /// parallel round executor with `options.pipeline.num_threads`
   /// (`options.pipeline.num_shards` is ignored -- the file fixes the
   /// shard count). Used by the streaming-update pipeline to solve from
   /// scratch after a compaction, and byte-identical for every thread

@@ -168,11 +168,9 @@ Status AdjacencyShardReader::OpenFile(const std::string& path,
 
 // The hot path keeps only the per-record window requests and checks; the
 // once per shard end checks, the truncation messages and the error
-// strings live out of line, so Decode stays small enough to inline into
-// NextInto and Next. Every check runs before `*rec` is written, so a
-// failed decode leaves the caller's view or block untouched.
-inline Status AdjacencyShardReader::Decode(VertexRecordView* rec,
-                                           bool* has_next) {
+// strings live out of line. Every check runs before `*rec` is written,
+// so a failed decode leaves the caller's view untouched.
+Status AdjacencyShardReader::Next(VertexRecordView* rec, bool* has_next) {
   if (records_seen_ == num_records_) return EndOfShard(has_next);
   const char* window = nullptr;
   Status s = reader_.Window(kRecordHeadBytes, &window);
@@ -247,23 +245,6 @@ Status AdjacencyShardReader::EndOfShard(bool* has_next) {
 
 Status AdjacencyShardReader::Corrupt(const char* what) const {
   return Status::Corruption(std::string(what) + " in '" + path_ + "'");
-}
-
-Status AdjacencyShardReader::NextInto(RecordBlock* block, bool* has_next) {
-  VertexRecordView rec;
-  SEMIS_RETURN_IF_ERROR(Decode(&rec, has_next));
-  if (*has_next) {
-    VertexId* dst = block->BeginRecord(rec.id, rec.degree);
-    if (rec.degree > 0) {
-      std::memcpy(dst, rec.neighbors, sizeof(VertexId) * size_t{rec.degree});
-    }
-    block->CommitRecord();
-  }
-  return Status::OK();
-}
-
-Status AdjacencyShardReader::Next(VertexRecordView* view, bool* has_next) {
-  return Decode(view, has_next);
 }
 
 Status AdjacencyShardReader::Close() { return reader_.Close(); }

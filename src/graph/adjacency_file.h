@@ -22,8 +22,7 @@
 //
 // Records are decoded in place: a record view points into the file
 // reader's buffer and is valid until the next call on the reader that
-// returned it. Copy a record (or decode it into a RecordBlock) to keep it
-// longer.
+// returned it. Copy a record to keep it longer.
 #ifndef SEMIS_GRAPH_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_ADJACENCY_FILE_H_
 
@@ -31,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/record_block.h"
 #include "io/file.h"
 #include "io/io_stats.h"
 #include "util/common.h"
@@ -46,6 +44,18 @@ inline constexpr uint32_t kAdjFlagDegreeSorted = 1u << 0;
 
 /// Magic of a SADJ file.
 inline constexpr uint32_t kAdjacencyFileMagic = 0x4A444153u;  // 'SADJ'
+
+/// One decoded record: `neighbors` points into the reader that returned
+/// it and stays valid until that reader's next call.
+struct VertexRecordView {
+  VertexId id = 0;
+  uint32_t degree = 0;
+  const VertexId* neighbors = nullptr;
+
+  const VertexId* begin() const { return neighbors; }
+  const VertexId* end() const { return neighbors + degree; }
+  VertexId neighbor(uint32_t i) const { return neighbors[i]; }
+};
 
 /// Parsed header of an adjacency file.
 struct AdjacencyFileHeader {
@@ -160,17 +170,10 @@ class AdjacencyShardReader {
   /// Corruption, a failed read IOError (never a clean end).
   Status Next(VertexRecordView* view, bool* has_next);
 
-  /// Decodes the next record like Next and copies its neighbors into
-  /// `block`'s arena with one memcpy. On any error the block is left
-  /// exactly as it was (a failed decode never publishes a half-record).
-  Status NextInto(RecordBlock* block, bool* has_next);
-
   /// Closes the underlying file. Safe to call twice.
   Status Close();
 
  private:
-  // The one decode-and-validate routine behind Next and NextInto.
-  Status Decode(VertexRecordView* rec, bool* has_next);
   // A record window the file could not fill: a read error, the end of
   // the records, or a record cut short inside its head or neighbors.
   Status ShortRecord(Status window, uint32_t degree, bool* has_next);

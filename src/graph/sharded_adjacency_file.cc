@@ -201,270 +201,6 @@ Status ShardedAdjacencyFileWriter::Finish() {
   return WriteShardedAdjacencyManifest(manifest_path_, manifest, stats_);
 }
 
-ManifestOrderedShardCursor::ManifestOrderedShardCursor(IoStats* stats)
-    : stats_(stats) {}
-
-ManifestOrderedShardCursor::~ManifestOrderedShardCursor() {
-  Close().IgnoreError();  // a destructor cannot propagate
-  ReleaseCurrentBlock();
-}
-
-// Returns the consumer's block (left alone by Close, which may race a
-// concurrent Next) to the pool, so an abandoned scan does not strand a
-// warmed arena -- that would quietly erode an external pool's
-// steady-state zero-allocation property. Only called from contexts where
-// no consumer can legitimately hold the block: Open and the destructor.
-void ManifestOrderedShardCursor::ReleaseCurrentBlock() {
-  if (current_loaded_ && blocks_ != nullptr) {
-    current_loaded_ = false;
-    blocks_->Release(std::move(current_));
-  }
-}
-
-Status ManifestOrderedShardCursor::Open(const std::string& manifest_path,
-                                        ThreadPool* pool,
-                                        const BlockRingOptions& ring) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument(
-        "manifest-ordered cursor requires a thread pool");
-  }
-  if (open_.load(std::memory_order_acquire)) {
-    return Status::InvalidArgument("cursor is already open");
-  }
-  // Resolve a possible journaled-store root to its current epoch manifest
-  // so the decoder threads open the epoch's shard files.
-  SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(manifest_path, &manifest_,
-                                               stats_, &manifest_path_));
-  if (stats_ != nullptr) stats_->sequential_scans++;
-  pool_ = pool;
-  block_bytes_ = ring.block_bytes != 0 ? ring.block_bytes
-                                       : kDefaultDecodeBlockBytes;
-  // Default byte budget: double buffering per decoder plus the consumer's
-  // block -- the record-granular analogue of the old "pool size + 1
-  // shards" window, but independent of shard sizes.
-  max_buffered_bytes_ = ring.max_buffered_bytes != 0
-                            ? ring.max_buffered_bytes
-                            : 2 * block_bytes_ * (pool->size() + 1);
-  // A block abandoned by a previous scan goes back to ITS pool before the
-  // pool pointer moves on.
-  ReleaseCurrentBlock();
-  blocks_ = ring.pool != nullptr ? ring.pool : &own_blocks_;
-  {
-    // No decoder is running yet, but the ring state is guarded by mu_ and
-    // the lock is uncontended here -- take it so the discipline holds on
-    // every write path.
-    MutexLock lock(&mu_);
-    // Fresh vector rather than resize: resize would move-or-copy existing
-    // elements, and ShardStream is move-only with a non-noexcept move.
-    streams_ = std::vector<ShardStream>(manifest_.num_shards());
-    consume_shard_ = 0;
-    cancel_ = false;
-    buffered_bytes_ = 0;
-    peak_buffered_bytes_ = 0;
-  }
-  worker_io_.assign(pool->size(), IoStats());
-  blocks_decoded_.store(0, std::memory_order_relaxed);
-  current_pos_ = 0;
-  current_bytes_ = 0;
-  current_loaded_ = false;
-  open_.store(true, std::memory_order_release);
-  pool_->BeginParallelFor(manifest_.num_shards(), [this](size_t shard,
-                                                         size_t worker) {
-    DecodeShard(static_cast<uint32_t>(shard), worker);
-  });
-  return Status::OK();
-}
-
-bool ManifestOrderedShardCursor::PublishBlock(uint32_t shard,
-                                              RecordBlock* block) {
-  const size_t bytes = block->payload_bytes();
-  bool published = false;
-  {
-    MutexLock lock(&mu_);
-    // Byte back-pressure with a starvation override: the shard the
-    // consumer is waiting on (its queue is empty) may always publish, so
-    // the consumer can make progress for ANY geometry -- even a budget
-    // smaller than one block. Workers claim shards in ascending order, so
-    // the consumer's shard is always either finished or owned by a worker
-    // this override lets through; the ring cannot deadlock.
-    while (!(cancel_ || buffered_bytes_ + bytes <= max_buffered_bytes_ ||
-             (shard == consume_shard_ && streams_[shard].blocks.empty()))) {
-      space_cv_.Wait(&mu_);
-    }
-    if (!cancel_) {
-      buffered_bytes_ += bytes;
-      if (buffered_bytes_ > peak_buffered_bytes_) {
-        peak_buffered_bytes_ = buffered_bytes_;
-      }
-      streams_[shard].blocks.push_back(std::move(*block));
-      blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
-      ready_cv_.NotifyAll();
-      published = true;
-    }
-  }
-  if (published) {
-    // Refill outside mu_: the replacement block is thread-local until
-    // the next publish, and Acquire takes the pool mutex (and may grow
-    // an arena) -- no reason to stall the consumer or other decoders.
-    *block = blocks_->Acquire();
-    return true;
-  }
-  blocks_->Release(std::move(*block));
-  return false;
-}
-
-void ManifestOrderedShardCursor::FinishShard(uint32_t shard, Status status) {
-  MutexLock lock(&mu_);
-  streams_[shard].status = std::move(status);
-  streams_[shard].finished = true;
-  ready_cv_.NotifyAll();
-}
-
-void ManifestOrderedShardCursor::DecodeShard(uint32_t shard, size_t worker) {
-  {
-    MutexLock lock(&mu_);
-    if (cancel_) return;  // Close raced ahead; skip the file entirely
-  }
-  AdjacencyShardReader reader(&worker_io_[worker]);
-  Status status = reader.Open(manifest_path_, manifest_, shard);
-  if (status.ok()) {
-    RecordBlock block = blocks_->Acquire();
-    bool has_next = false;
-    while (true) {
-      status = reader.NextInto(&block, &has_next);
-      if (!status.ok() || !has_next) break;
-      if (block.payload_bytes() >= block_bytes_) {
-        if (!PublishBlock(shard, &block)) return;  // cancelled
-      }
-    }
-    Status close_status = reader.Close();
-    if (status.ok()) status = close_status;
-    if (!block.empty()) {
-      if (!PublishBlock(shard, &block)) return;  // cancelled
-    }
-    blocks_->Release(std::move(block));
-  }
-  FinishShard(shard, std::move(status));
-}
-
-Status ManifestOrderedShardCursor::Next(VertexRecordView* view,
-                                        bool* has_next) {
-  if (!open_.load(std::memory_order_acquire)) {
-    return Status::InvalidArgument("cursor is not open");
-  }
-  while (true) {
-    // Fast path: serve the next record straight out of the current block,
-    // no lock, no copy, no allocation.
-    if (current_loaded_ && current_pos_ < current_.num_records()) {
-      *view = current_.view(current_pos_++);
-      *has_next = true;
-      return Status::OK();
-    }
-    if (current_loaded_) {
-      // Drained a block: uncharge its bytes and recycle it. The bytes
-      // stayed charged while the consumer held it, so peak_buffered_bytes
-      // covers the consumer's block like the old shard window did. The
-      // pool Release happens outside mu_ (it takes the pool's own mutex).
-      current_loaded_ = false;
-      {
-        MutexLock lock(&mu_);
-        buffered_bytes_ -= current_bytes_;
-        space_cv_.NotifyAll();
-      }
-      blocks_->Release(std::move(current_));
-    }
-    MutexLock lock(&mu_);
-    while (true) {
-      if (cancel_) {
-        return Status::InvalidArgument("cursor was closed during the scan");
-      }
-      if (consume_shard_ >= manifest_.num_shards()) {
-        *has_next = false;
-        return Status::OK();
-      }
-      ShardStream& stream = streams_[consume_shard_];
-      while (!cancel_ && stream.blocks.empty() && !stream.finished) {
-        ready_cv_.Wait(&mu_);
-      }
-      if (cancel_) {
-        return Status::InvalidArgument("cursor was closed during the scan");
-      }
-      if (!stream.blocks.empty()) {
-        current_ = std::move(stream.blocks.front());
-        stream.blocks.pop_front();
-        current_pos_ = 0;
-        current_bytes_ = current_.payload_bytes();
-        current_loaded_ = true;
-        break;
-      }
-      // Shard finished with nothing queued: surface its error here (the
-      // manifest-order point where the failure sits) or advance.
-      if (!stream.status.ok()) return stream.status;
-      consume_shard_++;
-      space_cv_.NotifyAll();
-    }
-  }
-}
-
-Status ManifestOrderedShardCursor::Close() {
-  // Serialized so a destructor-driven Close and an explicit one (possibly
-  // from another thread, while Next blocks) cannot interleave teardown.
-  // Lock order close_mu_ -> mu_ (ACQUIRED_AFTER on mu_); nothing takes
-  // them the other way around.
-  MutexLock close_lock(&close_mu_);
-  if (!open_.load(std::memory_order_acquire)) return Status::OK();
-  {
-    MutexLock lock(&mu_);
-    cancel_ = true;
-    // Wake BOTH sides: decoders blocked on byte headroom and a consumer
-    // blocked in Next (which then fails instead of hanging forever).
-    space_cv_.NotifyAll();
-    ready_cv_.NotifyAll();
-  }
-  pool_->WaitForCompletion();
-  // A shard can finish with an I/O error (including a failed reader
-  // Close) that the consumer never reached -- either it stopped at an
-  // earlier shard's error or the caller abandoned the scan. A fully
-  // drained scan surfaced every status through Next already; otherwise
-  // report the first one here instead of dropping it.
-  Status first_error;
-  {
-    MutexLock lock(&mu_);
-    const bool fully_drained = consume_shard_ >= manifest_.num_shards();
-    uint32_t shard = 0;
-    for (ShardStream& stream : streams_) {
-      if (!fully_drained && first_error.ok() && shard >= consume_shard_ &&
-          stream.finished && !stream.status.ok()) {
-        first_error = stream.status;
-      }
-      while (!stream.blocks.empty()) {
-        buffered_bytes_ -= stream.blocks.front().payload_bytes();
-        blocks_->Release(std::move(stream.blocks.front()));
-        stream.blocks.pop_front();
-      }
-      shard++;
-    }
-    streams_.clear();
-    if (stats_ != nullptr) {
-      if (peak_buffered_bytes_ > stats_->peak_buffered_bytes) {
-        stats_->peak_buffered_bytes = peak_buffered_bytes_;
-      }
-    }
-  }
-  if (stats_ != nullptr) {
-    for (const IoStats& io : worker_io_) stats_->MergeFrom(io);
-    stats_->blocks_decoded += blocks_decoded_.load(std::memory_order_relaxed);
-    const size_t arena = blocks_->pooled_capacity_bytes();
-    if (arena > stats_->arena_bytes) stats_->arena_bytes = arena;
-  }
-  worker_io_.clear();
-  // The consumer's current block (if any) is consumer-owned; leave it for
-  // the next Open/destruction rather than racing a concurrent Next.
-  open_.store(false, std::memory_order_release);
-  pool_ = nullptr;
-  return first_error;
-}
-
 Status ShardAdjacencyFile(const std::string& input_path,
                           const std::string& manifest_path,
                           uint32_t num_shards, IoStats* stats) {

@@ -22,27 +22,22 @@
 //   then records exactly as in SADJ: u32 id  u32 degree  u32 neighbor[deg]
 //
 // The records are read through adjacency_file.h: AdjacencyFileScanner
-// walks the shards in order, and the parallel executors hand each worker
-// its own AdjacencyShardReader so shards can be scanned concurrently
-// without shared reader state. ManifestOrderedShardCursor below decodes
-// shards ahead of one consumer through the same reader.
+// walks the shards in order (every ordered scan: greedy, Repair, verify),
+// and the parallel executors hand each worker its own
+// AdjacencyShardReader so shards can be scanned concurrently without
+// shared reader state.
 #ifndef SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 #define SEMIS_GRAPH_SHARDED_ADJACENCY_FILE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "graph/adjacency_file.h"
-#include "graph/record_block.h"
 #include "io/file.h"
 #include "io/io_stats.h"
 #include "util/common.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace semis {
 
@@ -121,161 +116,6 @@ class ShardedAdjacencyFileWriter {
   uint64_t shard_words_ = 0;
   ShardInfo current_info_;
   std::vector<ShardInfo> finished_shards_;
-};
-
-/// Geometry and budget of the cursor's record-granular block ring.
-struct BlockRingOptions {
-  /// Target payload bytes of one decode block: a decoder publishes its
-  /// block as soon as the payload reaches this size. A single record
-  /// larger than the block still fits (the block grows for it), so any
-  /// geometry decodes any file. 0 = kDefaultDecodeBlockBytes.
-  size_t block_bytes = 0;
-  /// Back-pressure budget: decoders stall once this many payload bytes
-  /// sit decoded-but-unconsumed in the ring. The consumer's current shard
-  /// may always publish one block past the budget when the consumer is
-  /// starved (the progress guarantee), so the ring can never deadlock --
-  /// peak buffering is bounded by `max(budget, one block)` plus at most
-  /// one in-flight block per decoder, independent of shard sizes.
-  /// 0 = 2 * block_bytes * (pool size + 1).
-  size_t max_buffered_bytes = 0;
-  /// Optional external block pool, letting callers reuse arena capacity
-  /// across cursors (e.g. repeated scans in a bench loop). nullptr = the
-  /// cursor owns a private pool. Must outlive the cursor.
-  RecordBlockPool* pool = nullptr;
-};
-
-/// Manifest-ordered multi-shard cursor: yields exactly the record stream
-/// of the equivalent monolithic file (like AdjacencyFileScanner), but
-/// decodes shards ahead of the consumer on a caller-provided thread pool
-/// through a record-granular, double-buffered block ring: decoder threads
-/// fill fixed-size arena-backed RecordBlocks (graph/record_block.h) and
-/// publish each block the moment it is full, so the consumer starts
-/// draining a shard long before it is fully decoded and peak memory is
-/// bounded by the ring's byte budget, not by the largest shard.
-///
-/// Contract (see docs/formats.md):
-///   * records are delivered strictly in global manifest order, crossing
-///     shard boundaries transparently -- the pipelining never reorders,
-///     drops, or duplicates a record, so any sequential algorithm driven
-///     by this cursor produces output byte-identical to a run over the
-///     monolithic file, at every pool size and block geometry;
-///   * back-pressure is measured in buffered payload BYTES
-///     (BlockRingOptions::max_buffered_bytes), with a starvation override
-///     for the consumer's current shard that rules out deadlock for any
-///     geometry -- including a budget smaller than one block and a block
-///     smaller than one record;
-///   * blocks recycle through a RecordBlockPool, so steady-state decode
-///     performs no per-record heap allocation;
-///   * each worker decodes with a private AdjacencyShardReader and
-///     IoStats; per-worker I/O plus the ring counters (blocks_decoded,
-///     arena_bytes, peak_buffered_bytes) merge into the caller's stats at
-///     Close;
-///   * a decode error in shard K surfaces from a Next() call within
-///     shard K, after every record of shards 0..K-1 and every valid
-///     record decoded before the error was yielded.
-///
-/// The cursor owns the pool's work queue from Open to Close (the pool's
-/// one-job-at-a-time rule); callers reusing a pool across stages must
-/// Close the cursor before submitting other work. Close may be called
-/// from a thread other than the consumer's (and concurrently with a
-/// blocked Next), which then fails with InvalidArgument instead of
-/// hanging.
-class ManifestOrderedShardCursor {
- public:
-  /// `stats` may be null. Counts the manifest read and one sequential
-  /// scan; per-worker shard I/O folds in at Close.
-  explicit ManifestOrderedShardCursor(IoStats* stats = nullptr);
-  ~ManifestOrderedShardCursor();
-
-  ManifestOrderedShardCursor(const ManifestOrderedShardCursor&) = delete;
-  ManifestOrderedShardCursor& operator=(const ManifestOrderedShardCursor&) =
-      delete;
-
-  /// Opens the manifest and starts decoding on `pool` (required, must
-  /// outlive the cursor). `ring` configures block size and byte budget.
-  Status Open(const std::string& manifest_path, ThreadPool* pool,
-              const BlockRingOptions& ring = BlockRingOptions());
-
-  const ShardedAdjacencyManifest& manifest() const { return manifest_; }
-  const AdjacencyFileHeader& header() const { return manifest_.header; }
-
-  /// Next record in global order. The view points into the current block
-  /// and stays valid until the next call that crosses a block boundary;
-  /// like every scanner in this library, consume it before advancing.
-  Status Next(VertexRecordView* view, bool* has_next) EXCLUDES(mu_);
-
-  /// Cancels outstanding decodes, drains the pool job and merges
-  /// per-worker IoStats plus the ring counters into the caller's stats.
-  /// Safe to call twice, from the destructor, and from a different thread
-  /// than the consumer's (a concurrently blocked Next wakes with an
-  /// error). When the scan was abandoned before the last record, returns
-  /// the first decode error of a shard the consumer never reached (a
-  /// fully drained scan has already surfaced every error through Next).
-  Status Close() EXCLUDES(close_mu_, mu_);
-
-  /// Largest total of decoded-but-unconsumed payload bytes held at any
-  /// point (for the memory accounting of algorithms driven by the
-  /// cursor). Bounded by the ring budget, not by shard sizes.
-  size_t peak_buffered_bytes() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return peak_buffered_bytes_;
-  }
-
-  /// Blocks published by the decoders so far.
-  uint64_t blocks_decoded() const { return blocks_decoded_; }
-
- private:
-  // Per-shard stream of published blocks, drained in shard index order.
-  struct ShardStream {
-    std::deque<RecordBlock> blocks;
-    Status status;
-    bool finished = false;  // decoder is done (status is final)
-  };
-
-  void DecodeShard(uint32_t shard, size_t worker) EXCLUDES(mu_);
-  // Publishes `*block` to the ring (blocking on the byte budget) and
-  // replaces it with a fresh block from the pool. Returns false when the
-  // cursor was cancelled (the block is released, decode must stop).
-  bool PublishBlock(uint32_t shard, RecordBlock* block) EXCLUDES(mu_);
-  void FinishShard(uint32_t shard, Status status) EXCLUDES(mu_);
-  void ReleaseCurrentBlock();
-
-  IoStats* stats_;
-  std::string manifest_path_;
-  ShardedAdjacencyManifest manifest_;
-  ThreadPool* pool_ = nullptr;
-  size_t block_bytes_ = kDefaultDecodeBlockBytes;
-  size_t max_buffered_bytes_ = 0;
-  RecordBlockPool own_blocks_;
-  RecordBlockPool* blocks_ = nullptr;
-  std::atomic<bool> open_{false};
-
-  // Lock hierarchy (docs/architecture.md): close_mu_ -> mu_. Close takes
-  // close_mu_ first to serialize concurrent closers, then mu_ for the
-  // cancel flag and teardown; no path ever takes them the other way
-  // around. Decoders and the consumer take only mu_.
-  mutable Mutex mu_ ACQUIRED_AFTER(close_mu_);
-  CondVar ready_cv_;  // consumer waits for a block / eof
-  CondVar space_cv_;  // decoders wait for byte headroom
-  std::vector<ShardStream> streams_ GUARDED_BY(mu_);
-  // Per-worker I/O counters: worker `w` writes only worker_io_[w] while
-  // the decode job runs; Close reads them only after WaitForCompletion,
-  // so the vector needs no lock (the pool barrier is the happens-before
-  // edge).
-  std::vector<IoStats> worker_io_;
-  uint32_t consume_shard_ GUARDED_BY(mu_) = 0;  // shard being consumed
-  bool cancel_ GUARDED_BY(mu_) = false;
-  size_t buffered_bytes_ GUARDED_BY(mu_) = 0;
-  size_t peak_buffered_bytes_ GUARDED_BY(mu_) = 0;
-  std::atomic<uint64_t> blocks_decoded_{0};
-
-  Mutex close_mu_;  // serializes concurrent Close calls; see mu_ above
-
-  // Consumer-side walk state of the current block (consumer thread only).
-  RecordBlock current_;
-  size_t current_pos_ = 0;
-  size_t current_bytes_ = 0;
-  bool current_loaded_ = false;
 };
 
 /// Splits the records of the adjacency file (or store) at `input_path`

@@ -470,15 +470,22 @@ Status FaultSpec::Parse(const std::string& spec, FaultSpec* out) {
 }
 
 std::string FaultSpec::ToString() const {
+  // Appended piece by piece: GCC 12 misreports `"literal" + std::string`
+  // temporaries under -Wrestrict.
   std::string s = any_op ? "any" : IoOpName(op);
-  s += ":" + std::to_string(nth);
+  s += ':';
+  s += std::to_string(nth);
   const int err = fault_errno == 0 ? EIO : fault_errno;
   if (const char* name = ErrnoName(err)) {
-    s += std::string(":") + name;
+    s += ':';
+    s += name;
   }
   if (sticky) s += ":sticky";
   if (short_transfer) s += ":short";
-  if (!path_substr.empty()) s += "@" + path_substr;
+  if (!path_substr.empty()) {
+    s += '@';
+    s += path_substr;
+  }
   return s;
 }
 

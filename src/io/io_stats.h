@@ -6,7 +6,6 @@
 #ifndef SEMIS_IO_IO_STATS_H_
 #define SEMIS_IO_IO_STATS_H_
 
-#include <algorithm>
 #include <cstdint>
 
 #include "util/common.h"
@@ -38,15 +37,10 @@ struct IoStats {
   /// Records decoded by AdjacencyShardReader, the one record decoder:
   /// every scan of a SADJ file or a SADJS store decodes each record once.
   uint64_t records_decoded = 0;
-  /// Record blocks published by the block-decode pipeline
-  /// (ManifestOrderedShardCursor).
+  /// Always 0: the block-decode pipeline that counted its record blocks
+  /// is gone. Kept because the end-to-end benchmark (perfbench/) reads
+  /// it.
   uint64_t blocks_decoded = 0;
-  /// Peak allocated arena capacity of one block ring's pool (high-water
-  /// mark; merged with max, not sum).
-  uint64_t arena_bytes = 0;
-  /// Peak decoded-but-unconsumed payload bytes buffered in the block ring
-  /// (high-water mark; merged with max, not sum).
-  uint64_t peak_buffered_bytes = 0;
 
   /// Logical blocks read given `block_size` (the paper's B).
   uint64_t BlocksRead(uint64_t block_size = kDefaultBlockSize) const {
@@ -69,11 +63,6 @@ struct IoStats {
     sort_passes += other.sort_passes;
     records_decoded += other.records_decoded;
     blocks_decoded += other.blocks_decoded;
-    // The peak counters describe a high-water mark, not traffic: merging
-    // two stages keeps the larger mark instead of summing.
-    arena_bytes = std::max(arena_bytes, other.arena_bytes);
-    peak_buffered_bytes =
-        std::max(peak_buffered_bytes, other.peak_buffered_bytes);
   }
 
   /// Resets all counters to zero.

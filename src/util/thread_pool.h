@@ -1,17 +1,15 @@
 // Copyright (c) the semis authors.
 // A minimal fixed-size thread pool for the parallel executors (swap rounds
-// and the sharded greedy prefetcher). Its primitive is a parallel-for over
-// an index range: workers pull indices from a shared atomic counter, so
-// work items of uneven cost (adjacency shards) balance automatically. With
-// one worker the items are processed strictly in ascending order, which
-// makes the single-threaded execution the sequential reference path of
-// every algorithm built on top.
+// and min-id rounds). Its primitive is a parallel-for over an index range:
+// workers pull indices from a shared atomic counter, so work items of
+// uneven cost (adjacency shards) balance automatically. With one worker
+// the items are processed strictly in ascending order, which makes the
+// single-threaded execution the sequential reference path of every
+// algorithm built on top.
 //
 // The parallel-for comes in two flavors sharing one work queue: the
-// blocking ParallelFor, and a BeginParallelFor/WaitForCompletion split for
-// producer-consumer pipelines where the submitting thread keeps consuming
-// results (e.g. the manifest-ordered shard cursor commits records while
-// the pool decodes shards ahead of it).
+// blocking ParallelFor, and a BeginParallelFor/WaitForCompletion split
+// that lets the submitting thread work while the pool runs the job.
 #ifndef SEMIS_UTIL_THREAD_POOL_H_
 #define SEMIS_UTIL_THREAD_POOL_H_
 

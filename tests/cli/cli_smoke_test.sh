@@ -54,12 +54,9 @@ grep -q "degree sort in " "$work/solve_sorted.log" \
     --stats --out "$work/set_par.txt" > "$work/solve_par.log" \
     || fail "parallel solve exited non-zero"
 [ -s "$work/set_par.txt" ] || fail "parallel solve produced an empty list"
-# --stats must surface the block-decode pipeline counters with real
-# (non-zero) decode traffic on the sharded path.
-grep -q "decode pipeline: " "$work/solve_par.log" \
-    || fail "solve --stats printed no decode pipeline line"
-grep -q "block ring     : 0 blocks" "$work/solve_par.log" \
-    && fail "sharded solve --stats reported zero decoded blocks"
+# --stats must report real (non-zero) decode traffic on the sharded path.
+grep -Eq "records decoded: [1-9][0-9]* over all scans" "$work/solve_par.log" \
+    || fail "sharded solve --stats reported no decoded records"
 # Determinism contract: thread count must not change the result.
 "$CLI" solve "$work/g.sadj" --algo twok --shards 4 --threads 1 \
     --out "$work/set_seq.txt"

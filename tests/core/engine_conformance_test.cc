@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel_greedy.h"
+#include "core/greedy.h"
 #include "core/rounds_engine.h"
 #include "core/solver.h"
 #include "core/verify.h"
@@ -48,14 +48,12 @@ struct EngineSpec {
 
 std::vector<EngineSpec> Engines() {
   std::vector<EngineSpec> engines;
+  // Greedy is one sequential scan and reads no thread count.
   engines.push_back({"greedy", true,
                      [](const std::string& manifest,
-                                  uint32_t threads, BitVector* set) {
-                       ParallelGreedyOptions opts;
-                       opts.pipeline.num_threads = threads;
+                                  uint32_t /*threads*/, BitVector* set) {
                        AlgoResult res;
-                       SEMIS_RETURN_IF_ERROR(
-                           RunParallelGreedy(manifest, opts, &res));
+                       SEMIS_RETURN_IF_ERROR(RunGreedy(manifest, {}, &res));
                        *set = std::move(res.in_set);
                        return Status::OK();
                      }});

@@ -4,10 +4,12 @@
 
 #include <numeric>
 
+#include "core/parallel_greedy.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "gen/plrg.h"
 #include "graph/degree_sort.h"
+#include "graph/sharded_adjacency_file.h"
 #include "test_util.h"
 
 namespace semis {
@@ -156,6 +158,148 @@ TEST_F(GreedyTest, StatesMatchBitset) {
     EXPECT_EQ(states[v] == VState::kI, res.in_set.Test(v));
     EXPECT_TRUE(states[v] == VState::kI || states[v] == VState::kN);
   }
+}
+
+// Greedy over SADJS stores. A store is read through the same scanner as
+// a SADJ file, in manifest order, so the suite pins the store path to
+// the SADJ path byte for byte. It also runs parallel_greedy.h's
+// forwarder, which the end-to-end benchmark calls with worker threads
+// configured: the thread count must not change a byte either.
+class ParallelGreedyTest : public ScratchTest {
+ protected:
+  // Shards `mono` into `num_shards` and returns the manifest path.
+  std::string Shard(const std::string& mono, uint32_t num_shards) {
+    std::string manifest = NewPath("sharded" + std::to_string(num_shards));
+    Status s = ShardAdjacencyFile(mono, manifest, num_shards);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return manifest;
+  }
+
+  // Degree-sorts `mono` and returns the sorted path.
+  std::string Sort(const std::string& mono) {
+    std::string sorted = NewPath("sorted");
+    Status s =
+        BuildDegreeSortedAdjacencyFile(mono, sorted, DegreeSortOptions{});
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return sorted;
+  }
+
+  // Checks that RunGreedy over `path` split into 1/3/7/16 shards gives
+  // the set and the state array of RunGreedy over `path` itself.
+  void ExpectStoresMatchFile(const std::string& path) {
+    AlgoResult ref;
+    std::vector<VState> ref_states;
+    ASSERT_OK(RunGreedyWithStates(path, {}, &ref, &ref_states));
+    for (uint32_t shards : {1u, 3u, 7u, 16u}) {
+      AlgoResult res;
+      std::vector<VState> states;
+      ASSERT_OK(RunGreedyWithStates(Shard(path, shards), {}, &res, &states));
+      EXPECT_EQ(res.set_size, ref.set_size) << shards << " shards";
+      EXPECT_EQ(SetToVector(res.in_set), SetToVector(ref.in_set))
+          << shards << " shards";
+      EXPECT_EQ(states, ref_states)
+          << "state array differs at " << shards << " shards";
+    }
+  }
+};
+
+// Degree-sorted input at every shard count, and the forwarder at every
+// thread count, reproduce the SADJ file's run byte for byte.
+TEST_F(ParallelGreedyTest, ByteIdenticalAcrossShardAndThreadCounts) {
+  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(20000, 2.0), 41);
+  std::string sorted = Sort(WriteGraphFile(&scratch_, g));
+  ExpectStoresMatchFile(sorted);
+
+  AlgoResult ref;
+  std::vector<VState> ref_states;
+  ASSERT_OK(RunGreedyWithStates(sorted, {}, &ref, &ref_states));
+  std::string manifest = Shard(sorted, 7);
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    ParallelGreedyOptions opts;
+    opts.pipeline.num_threads = threads;
+    AlgoResult res;
+    std::vector<VState> states;
+    ASSERT_OK(RunParallelGreedyWithStates(manifest, opts, &res, &states));
+    EXPECT_EQ(states, ref_states) << threads << " threads";
+  }
+}
+
+// Id-ordered (BASELINE) input: the store path does not care whether the
+// record order is the degree-sorted one.
+TEST_F(ParallelGreedyTest, IdOrderedBaselineInputAlsoByteIdentical) {
+  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(15000, 2.1), 42);
+  ExpectStoresMatchFile(WriteGraphFile(&scratch_, g));
+}
+
+TEST_F(ParallelGreedyTest, ResultIsMaximalIndependentSet) {
+  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(10000, 2.0), 43);
+  std::string manifest = Shard(Sort(WriteGraphFile(&scratch_, g)), 5);
+  AlgoResult res;
+  ASSERT_OK(RunGreedy(manifest, {}, &res));
+  VerifyResult vr = VerifyIndependentSet(g, res.in_set);
+  EXPECT_TRUE(vr.independent);
+  EXPECT_TRUE(vr.maximal);
+  EXPECT_EQ(res.in_set.Count(), res.set_size);
+}
+
+TEST_F(ParallelGreedyTest, EmptyGraph) {
+  Graph g = Graph::FromEdges(0, {});
+  ExpectStoresMatchFile(WriteGraphFile(&scratch_, g));
+  AlgoResult res;
+  ASSERT_OK(RunGreedy(Shard(WriteGraphFile(&scratch_, g), 3), {}, &res));
+  EXPECT_EQ(res.set_size, 0u);
+}
+
+TEST_F(ParallelGreedyTest, SingleShardManifest) {
+  Graph g = GenerateErdosRenyi(2000, 6000, 44);
+  std::string mono = WriteGraphFile(&scratch_, g);
+  AlgoResult ref, res;
+  ASSERT_OK(RunGreedy(mono, {}, &ref));
+  ASSERT_OK(RunGreedy(Shard(mono, 1), {}, &res));
+  EXPECT_EQ(SetToVector(res.in_set), SetToVector(ref.in_set));
+}
+
+// require_degree_sorted rejects an unsorted store with the same error
+// text as an unsorted SADJ file, and accepts a sorted one.
+TEST_F(ParallelGreedyTest, RequireDegreeSortedEnforcedOnShardedPath) {
+  Graph g = GenerateStar(50);
+  std::string manifest = Shard(WriteGraphFile(&scratch_, g), 3);
+  GreedyOptions opts;
+  opts.require_degree_sorted = true;
+  AlgoResult res;
+  Status s = RunGreedy(manifest, opts, &res);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(
+      s.ToString().find("greedy requires a degree-sorted adjacency file: "),
+      std::string::npos)
+      << s.ToString();
+
+  Graph g2 = GeneratePlrg(PlrgSpec::ForVertexCount(2000, 2.0), 45);
+  std::string sorted_manifest = Shard(Sort(WriteGraphFile(&scratch_, g2)), 3);
+  EXPECT_OK(RunGreedy(sorted_manifest, opts, &res));
+}
+
+// One scan over all shards, all shard bytes charged, and the memory of
+// the SADJ path: the state array plus the result bitset, nothing per
+// shard.
+TEST_F(ParallelGreedyTest, IoAndMemoryCountersFold) {
+  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(10000, 2.0), 46);
+  std::string manifest = Shard(Sort(WriteGraphFile(&scratch_, g)), 4);
+  AlgoResult res;
+  ASSERT_OK(RunGreedy(manifest, {}, &res));
+  EXPECT_EQ(res.io.sequential_scans, 1u);
+  EXPECT_EQ(res.io.records_decoded, g.NumVertices());
+  EXPECT_GE(res.io.files_opened, 5u);  // manifest + 4 shards
+  uint64_t shard_bytes = 0;
+  for (uint32_t k = 0; k < 4; ++k) {
+    uint64_t size = 0;
+    ASSERT_OK(GetFileSize(ShardFilePath(manifest, k), &size));
+    shard_bytes += size;
+  }
+  EXPECT_GT(res.io.bytes_read, shard_bytes);  // plus the manifest
+  const uint64_t n = g.NumVertices();
+  EXPECT_EQ(res.memory.CategoryBytes("state"), n);
+  EXPECT_LE(res.peak_memory_bytes, n + n / 8 + 64);
 }
 
 }  // namespace

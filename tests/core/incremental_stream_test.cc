@@ -8,8 +8,7 @@
 //     quality invariant a from-scratch solve guarantees);
 //   * the repaired set is byte-identical to sequential
 //     IncrementalMis::Repair on the equivalent monolithic file, and
-//     identical across every tested shard/thread combination
-//     (1/2/8 threads x 1/3/7 shards) -- the determinism contract;
+//     identical across 1/3/7 shards -- the determinism contract;
 //   * compaction never changes the effective graph or the maintained
 //     set, and a restarted session replays the on-disk delta back to the
 //     exact same state.
@@ -43,7 +42,6 @@ using testing_util::WriteGraphFile;
 class IncrementalStreamTest : public ScratchTest {};
 
 constexpr uint32_t kShardCounts[] = {1, 3, 7};
-constexpr uint32_t kThreadCounts[] = {1, 2, 8};
 
 // Rebuilds the updated graph in memory for verification.
 Graph ApplyDelta(const Graph& base, const std::set<Edge>& inserted,
@@ -66,30 +64,26 @@ struct Instance {
   ShardedStreamingMis mis;
 };
 
-// Shards `mono_path` into one copy per (shard count x thread count)
-// combination and initializes a maintainer on each.
+// Shards `mono_path` into one copy per shard count and initializes a
+// maintainer on each.
 void MakeInstances(ScratchDir* scratch, const std::string& mono_path,
                    const BitVector& initial, const std::string& tag,
                    uint64_t compact_threshold,
                    std::vector<Instance>* instances) {
   for (uint32_t shards : kShardCounts) {
-    for (uint32_t threads : kThreadCounts) {
-      instances->emplace_back();
-      Instance& i = instances->back();
-      i.manifest = scratch->NewFilePath(tag + "_s" + std::to_string(shards) +
-                                        "_t" + std::to_string(threads) +
-                                        ".sadjs");
-      ASSERT_OK(ShardAdjacencyFile(mono_path, i.manifest, shards));
-      EnginePipelineOptions opts;
-      opts.num_threads = threads;
-      opts.compact_threshold_entries = compact_threshold;
-      ASSERT_OK(i.mis.Initialize(i.manifest, initial, opts));
-    }
+    instances->emplace_back();
+    Instance& i = instances->back();
+    i.manifest = scratch->NewFilePath(tag + "_s" + std::to_string(shards) +
+                                      ".sadjs");
+    ASSERT_OK(ShardAdjacencyFile(mono_path, i.manifest, shards));
+    EnginePipelineOptions opts;
+    opts.compact_threshold_entries = compact_threshold;
+    ASSERT_OK(i.mis.Initialize(i.manifest, initial, opts));
   }
 }
 
 // Drives a seeded random update stream over `base` through a sequential
-// IncrementalMis and the full shard/thread matrix, checking equality and
+// IncrementalMis and every shard count, checking equality and
 // the independence/maximality invariants after every batch + repair.
 void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
                            uint64_t seed, int steps, int batch,
@@ -153,8 +147,7 @@ void RunDifferentialStream(ScratchDir* scratch, const Graph& base,
           << pre.witness_v;
       ASSERT_OK(inst.mis.Repair());
       // Byte-identical to the sequential monolithic reference -- which
-      // also proves every shard/thread combination identical to every
-      // other.
+      // also proves every shard count identical to every other.
       ASSERT_EQ(SetToVector(inst.mis.set()), expected)
           << "seed " << seed << " step " << step << " manifest "
           << inst.manifest;
@@ -481,9 +474,7 @@ TEST_F(IncrementalStreamTest, CompactionFoldsDeltaAndPreservesAnswers) {
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
   BitVector initial = RandomMaximalSet(base, 4);
   ShardedStreamingMis mis;
-  EnginePipelineOptions opts;
-  opts.num_threads = 2;
-  ASSERT_OK(mis.Initialize(manifest, initial, opts));
+  ASSERT_OK(mis.Initialize(manifest, initial, EnginePipelineOptions{}));
 
   std::set<Edge> inserted, deleted;
   Random rng(99);
@@ -742,9 +733,7 @@ TEST_F(IncrementalStreamTest, StreamQualityTracksFromScratchSolve) {
     ASSERT_OK(solver.SolveFile(mono, &solved));
     ASSERT_OK(ShardAdjacencyFile(mono, manifest, 5));
     ShardedStreamingMis mis;
-    EnginePipelineOptions opts;
-    opts.num_threads = 2;
-    ASSERT_OK(mis.Initialize(manifest, solved.set, opts));
+    ASSERT_OK(mis.Initialize(manifest, solved.set, EnginePipelineOptions{}));
 
     Random rng(17);
     std::vector<EdgeUpdate> updates;
@@ -808,9 +797,7 @@ TEST_F(IncrementalStreamTest, EmptyGraphAndEmptyBatches) {
   std::string manifest2 = NewPath("empty2.sadjs");
   ASSERT_OK(ShardAdjacencyFile(mono2, manifest2, 1));
   ShardedStreamingMis mis2;
-  EnginePipelineOptions opts;
-  opts.num_threads = 4;
-  ASSERT_OK(mis2.Initialize(manifest2, BitVector(3), opts));
+  ASSERT_OK(mis2.Initialize(manifest2, BitVector(3), EnginePipelineOptions{}));
   ASSERT_OK(mis2.ApplyBatch({}));
   ASSERT_OK(mis2.Repair());
   EXPECT_EQ(mis2.set_size(), 3u - 1u);  // path 0-1-2: repair adds 0 and 2

@@ -144,8 +144,10 @@ TEST_F(ResortTest, RestoresSortByteIdenticalToFreshRebuildEverywhere) {
     for (uint32_t num_threads : thread_counts) {
       SCOPED_TRACE("shards=" + std::to_string(num_shards) +
                    " threads=" + std::to_string(num_threads));
-      const std::string tag =
-          "s" + std::to_string(num_shards) + "t" + std::to_string(num_threads);
+      std::string tag = "s";  // appends dodge a GCC 12 -Wrestrict false alarm
+      tag += std::to_string(num_shards);
+      tag += 't';
+      tag += std::to_string(num_threads);
       const std::string root = MakeSortedStore(tag, num_shards);
       EnginePipelineOptions options;
       options.num_threads = num_threads;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/record_block.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/env.h"
 #include "test_util.h"
@@ -316,22 +315,6 @@ TEST_F(AdjacencyFileTest, RecordStraddlingTheBufferEndDecodes) {
   EXPECT_FALSE(has_next);
   EXPECT_EQ(stats.records_decoded, kWideVertices);
   EXPECT_EQ(stats.bytes_read, kHeaderBytes + kWideVertices * record_bytes);
-
-  // NextInto: the same records copied into a block.
-  AdjacencyShardReader reader;
-  uint32_t magic = 0;
-  ShardedAdjacencyManifest manifest;
-  ASSERT_OK(reader.OpenFile(path, &magic, &manifest));
-  RecordBlock block;
-  do {
-    ASSERT_OK(reader.NextInto(&block, &has_next));
-  } while (has_next);
-  ASSERT_EQ(block.num_records(), kWideVertices);
-  const VertexRecordView copied = block.view(straddler);
-  EXPECT_EQ(copied.id, straddler);
-  for (uint32_t j = 0; j < kWideDegree; ++j) {
-    EXPECT_EQ(copied.neighbor(j), WideNeighbor(copied.id, j));
-  }
 }
 
 TEST_F(AdjacencyFileTest, RecordLargerThanTheBufferDecodes) {
@@ -373,23 +356,12 @@ TEST_F(AdjacencyFileTest, RecordLargerThanTheBufferDecodes) {
     if (records++ == kLeavesFirst) check_center(rec);
   }
   EXPECT_EQ(records, kLeaves + 1ull);
-
-  AdjacencyShardReader reader;
-  uint32_t magic = 0;
-  ShardedAdjacencyManifest manifest;
-  ASSERT_OK(reader.OpenFile(path, &magic, &manifest));
-  RecordBlock block;
-  do {
-    ASSERT_OK(reader.NextInto(&block, &has_next));
-  } while (has_next);
-  ASSERT_EQ(block.num_records(), kLeaves + 1ull);
-  check_center(block.view(kLeavesFirst));
 }
 
 TEST_F(AdjacencyFileTest, BadRecordLeavesViewAndBlockUntouched) {
   // A good record, then a bad one that sits whole in the buffer: the
-  // decode fails with the record's Corruption message and neither the
-  // caller's view nor its block changes.
+  // decode fails with the record's Corruption message and the caller's
+  // view does not change.
   struct Case {
     const char* name;
     std::vector<uint32_t> bad;
@@ -423,20 +395,6 @@ TEST_F(AdjacencyFileTest, BadRecordLeavesViewAndBlockUntouched) {
     EXPECT_EQ(rec.degree, good.degree);
     EXPECT_EQ(rec.neighbors, good.neighbors);
     EXPECT_EQ(rec.neighbor(0), 1u);
-
-    AdjacencyShardReader reader;
-    uint32_t magic = 0;
-    ShardedAdjacencyManifest manifest;
-    ASSERT_OK(reader.OpenFile(path, &magic, &manifest));
-    RecordBlock block;
-    ASSERT_OK(reader.NextInto(&block, &has_next));
-    const size_t payload = block.payload_bytes();
-    s = reader.NextInto(&block, &has_next);
-    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-    EXPECT_EQ(s.message(), expected);
-    EXPECT_EQ(block.num_records(), 1u);
-    EXPECT_EQ(block.payload_bytes(), payload);
-    EXPECT_EQ(block.view(0).neighbor(0), 1u);
   }
 }
 

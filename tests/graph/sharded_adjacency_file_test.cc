@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gen/generators.h"
@@ -166,165 +163,6 @@ TEST_F(ShardedAdjacencyFileTest, CorruptManifestRejected) {
   EXPECT_TRUE(ReadShardedAdjacencyManifest(mono, &m).IsCorruption());
 }
 
-TEST_F(ShardedAdjacencyFileTest, CursorYieldsManifestOrderAtEveryPoolSize) {
-  // The manifest-ordered cursor contract: identical record stream to the
-  // sequential sharded scanner, for any pool size and buffer window.
-  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(5000, 2.0), 30);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 5));
-  auto expected = Drain(manifest);
-
-  for (size_t pool_size : {1u, 2u, 4u}) {
-    ThreadPool pool(pool_size);
-    ManifestOrderedShardCursor cursor;
-    ASSERT_OK(cursor.Open(manifest, &pool));
-    Records got;
-    VertexRecordView rec;
-    bool has_next = false;
-    while (true) {
-      ASSERT_OK(cursor.Next(&rec, &has_next));
-      if (!has_next) break;
-      got.emplace_back(rec.id, std::vector<VertexId>(
-                                   rec.neighbors, rec.neighbors + rec.degree));
-    }
-    ASSERT_OK(cursor.Close());
-    EXPECT_EQ(got, expected) << "pool size " << pool_size;
-    EXPECT_GT(cursor.peak_buffered_bytes(), 0u);
-  }
-}
-
-TEST_F(ShardedAdjacencyFileTest, CursorBoundedWindowAndEarlyClose) {
-  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(4000, 2.0), 31);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 8));
-  {
-    // A budget of one byte must still drain everything, even with more
-    // workers than the ring can hold (the starvation override keeps the
-    // consumer's shard publishable).
-    ThreadPool pool(4);
-    ManifestOrderedShardCursor cursor;
-    BlockRingOptions ring;
-    ring.max_buffered_bytes = 1;
-    ASSERT_OK(cursor.Open(manifest, &pool, ring));
-    uint64_t records = 0;
-    VertexRecordView rec;
-    bool has_next = false;
-    while (true) {
-      ASSERT_OK(cursor.Next(&rec, &has_next));
-      if (!has_next) break;
-      records++;
-    }
-    EXPECT_EQ(records, g.NumVertices());
-    ASSERT_OK(cursor.Close());
-  }
-  {
-    // Abandoning a scan mid-way (destructor-driven Close) must not hang
-    // on workers blocked at the window.
-    ThreadPool pool(4);
-    ManifestOrderedShardCursor cursor;
-    BlockRingOptions ring;
-    ring.max_buffered_bytes = 1;
-    ASSERT_OK(cursor.Open(manifest, &pool, ring));
-    VertexRecordView rec;
-    bool has_next = false;
-    ASSERT_OK(cursor.Next(&rec, &has_next));
-    EXPECT_TRUE(has_next);
-  }
-}
-
-TEST_F(ShardedAdjacencyFileTest, CursorMergesWorkerIoAndCountsOneScan) {
-  Graph g = GenerateErdosRenyi(1000, 3000, 32);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 4));
-  IoStats io;
-  ThreadPool pool(3);
-  ManifestOrderedShardCursor cursor(&io);
-  ASSERT_OK(cursor.Open(manifest, &pool));
-  VertexRecordView rec;
-  bool has_next = false;
-  while (true) {
-    ASSERT_OK(cursor.Next(&rec, &has_next));
-    if (!has_next) break;
-  }
-  ASSERT_OK(cursor.Close());
-  EXPECT_EQ(io.sequential_scans, 1u);
-  EXPECT_GE(io.files_opened, 5u);  // manifest + 4 shards
-  uint64_t manifest_size = 0, shard0_size = 0;
-  ASSERT_OK(GetFileSize(manifest, &manifest_size));
-  ASSERT_OK(GetFileSize(ShardFilePath(manifest, 0), &shard0_size));
-  EXPECT_GT(io.bytes_read, manifest_size + shard0_size);
-}
-
-TEST_F(ShardedAdjacencyFileTest, CursorRequiresPoolAndRejectsDoubleOpen) {
-  Graph g = GenerateErdosRenyi(10, 9, 33);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 2));
-  ManifestOrderedShardCursor cursor;
-  EXPECT_TRUE(cursor.Open(manifest, nullptr).IsInvalidArgument());
-  ThreadPool pool(2);
-  ASSERT_OK(cursor.Open(manifest, &pool));
-  EXPECT_TRUE(cursor.Open(manifest, &pool).IsInvalidArgument());
-  ASSERT_OK(cursor.Close());
-}
-
-// Drains `cursor` through the view API into (id, neighbors).
-Records DrainCursor(
-    ManifestOrderedShardCursor* cursor) {
-  Records got;
-  VertexRecordView view;
-  bool has_next = false;
-  while (cursor->Next(&view, &has_next).ok() && has_next) {
-    got.emplace_back(view.id,
-                     std::vector<VertexId>(view.begin(), view.end()));
-  }
-  return got;
-}
-
-// Degenerate block geometry: a block capacity smaller than one record's
-// neighbor list (a star center has degree ~ |V|) must still deliver the
-// exact sequential stream -- the block grows for the oversized record.
-TEST_F(ShardedAdjacencyFileTest, CursorBlockSmallerThanOneRecord) {
-  Graph g = GenerateStar(300);  // center degree 299 >> 8-byte blocks
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 3));
-  auto expected = Drain(manifest);
-  for (size_t budget : {size_t{1}, size_t{1} << 20}) {
-    ThreadPool pool(4);
-    ManifestOrderedShardCursor cursor;
-    BlockRingOptions ring;
-    ring.block_bytes = 8;
-    ring.max_buffered_bytes = budget;
-    ASSERT_OK(cursor.Open(manifest, &pool, ring));
-    EXPECT_EQ(DrainCursor(&cursor), expected) << "budget " << budget;
-    ASSERT_OK(cursor.Close());
-  }
-}
-
-// A single-block ring (the budget admits exactly one block at a time)
-// degenerates to strict hand-over-hand pipelining and must stay
-// byte-identical to the sequential scan.
-TEST_F(ShardedAdjacencyFileTest, CursorSingleBlockRing) {
-  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 2.0), 35);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 6));
-  auto expected = Drain(manifest);
-  ThreadPool pool(3);
-  ManifestOrderedShardCursor cursor;
-  BlockRingOptions ring;
-  ring.block_bytes = 512;
-  ring.max_buffered_bytes = 512;  // one block in flight
-  ASSERT_OK(cursor.Open(manifest, &pool, ring));
-  EXPECT_EQ(DrainCursor(&cursor), expected);
-  ASSERT_OK(cursor.Close());
-  EXPECT_GT(cursor.blocks_decoded(), 1u);
-}
-
 // Hand-builds a 4-shard store of `records` (the record stream of the
 // SADJ file `mono`) at `manifest`: [first half][empty][second half]
 // [empty], so one empty shard sits inside and one trails. The sharding
@@ -344,19 +182,17 @@ void WriteStoreWithEmptyShards(const std::string& mono,
     SequentialFileWriter writer;
     ASSERT_OK(writer.Open(ShardFilePath(manifest, k)));
     ASSERT_OK(WriteAdjacencyShardHeader(&writer, k, m.header.num_vertices));
+    AdjacencyRecordEncoder encoder;
+    encoder.Declare(m.header.num_vertices, m.header.num_directed_edges,
+                    m.header.max_degree);
     const size_t begin = k == 0 ? 0 : (k == 2 ? split : records.size());
     const size_t end = k == 0 ? split : (k == 2 ? records.size() : begin);
     for (size_t i = begin; i < end; ++i) {
-      ASSERT_OK(writer.AppendU32(records[i].first));
-      ASSERT_OK(writer.AppendU32(
-          static_cast<uint32_t>(records[i].second.size())));
-      if (!records[i].second.empty()) {
-        ASSERT_OK(writer.Append(records[i].second.data(),
-                                records[i].second.size() *
-                                    sizeof(VertexId)));
-      }
+      const std::vector<VertexId>& nbrs = records[i].second;
+      ASSERT_OK(encoder.Append(&writer, records[i].first, nbrs.data(),
+                               static_cast<uint32_t>(nbrs.size())));
       m.shards[k].num_records++;
-      m.shards[k].num_directed_edges += records[i].second.size();
+      m.shards[k].num_directed_edges += nbrs.size();
     }
     ASSERT_OK(writer.Close());
   }
@@ -364,8 +200,8 @@ void WriteStoreWithEmptyShards(const std::string& mono,
 }
 
 // Empty shards in the MIDDLE of the manifest (the sharding writer only
-// produces trailing empties, but compaction can empty any shard): both
-// the sequential scanner and the cursor must cross them transparently.
+// produces trailing empties, but compaction can empty any shard): the
+// scanner must cross them transparently.
 TEST_F(ShardedAdjacencyFileTest, InteriorEmptyShardsYieldSequentialStream) {
   Graph g = GenerateErdosRenyi(200, 600, 36);
   std::string mono = WriteGraphFile(&scratch_, g);
@@ -374,22 +210,14 @@ TEST_F(ShardedAdjacencyFileTest, InteriorEmptyShardsYieldSequentialStream) {
 
   std::string manifest = NewPath("holey");
   ASSERT_NO_FATAL_FAILURE(WriteStoreWithEmptyShards(mono, expected, manifest));
-
   EXPECT_EQ(Drain(manifest), expected);
-  for (size_t pool_size : {1u, 2u, 4u}) {
-    ThreadPool pool(pool_size);
-    ManifestOrderedShardCursor cursor;
-    ASSERT_OK(cursor.Open(manifest, &pool));
-    EXPECT_EQ(DrainCursor(&cursor), expected) << "pool " << pool_size;
-    ASSERT_OK(cursor.Close());
-  }
 }
 
-// One graph through every reader: the SADJ file, its SADJS store at 1, 3
-// and 7 shards and with interior empty shards, a journaled SEPR root, and
-// the prefetching cursor at 1, 2 and 4 threads over each store. Every
-// source yields the same record stream, the scanner counts one sequential
-// scan per pass, and Rewind replays the stream on every format.
+// One graph through every store format: the SADJ file, its SADJS store
+// at 1, 3 and 7 shards and with interior empty shards, and a journaled
+// SEPR root. Every source yields the same record stream, the scanner
+// counts one sequential scan per pass, and Rewind replays the stream on
+// every format.
 TEST_F(ShardedAdjacencyFileTest, EveryReaderOfOneGraphYieldsOneStream) {
   Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 2.0), 40);
   std::string mono = WriteGraphFile(&scratch_, g);
@@ -424,181 +252,51 @@ TEST_F(ShardedAdjacencyFileTest, EveryReaderOfOneGraphYieldsOneStream) {
       EXPECT_EQ(io.sequential_scans, pass);
       EXPECT_EQ(io.records_decoded, pass * expected.size());
     }
-    if (source == mono) continue;  // the cursor prefetches SADJS shards
-    for (size_t threads : {1u, 2u, 4u}) {
-      IoStats cursor_io;
-      ThreadPool pool(threads);
-      ManifestOrderedShardCursor cursor(&cursor_io);
-      ASSERT_OK(cursor.Open(source, &pool));
-      EXPECT_EQ(DrainCursor(&cursor), expected) << threads << " threads";
-      ASSERT_OK(cursor.Close());
-      EXPECT_EQ(cursor_io.sequential_scans, 1u);
-      EXPECT_EQ(cursor_io.records_decoded, expected.size());
-    }
   }
 }
 
-// Close() racing workers blocked on the ring's byte budget (and a
-// consumer mid-scan): must neither hang nor crash, at any pool size, under
-// ASan/TSan-style repetition. The concurrent Next either keeps yielding
-// records or fails cleanly once the cancel lands.
-TEST_F(ShardedAdjacencyFileTest, CursorConcurrentCloseStress) {
-  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(3000, 2.0), 37);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 8));
-  for (size_t pool_size : {1u, 2u, 8u}) {
-    for (int rep = 0; rep < 20; ++rep) {
-      ThreadPool pool(pool_size);
-      ManifestOrderedShardCursor cursor;
-      BlockRingOptions ring;
-      ring.block_bytes = 256;
-      ring.max_buffered_bytes = 256;  // keeps decoders parked on space_cv_
-      ASSERT_OK(cursor.Open(manifest, &pool, ring));
-      VertexRecordView view;
-      bool has_next = false;
-      ASSERT_OK(cursor.Next(&view, &has_next));
-      std::atomic<bool> closed{false};
-      std::thread closer([&] {
-        Status s = cursor.Close();
-        EXPECT_TRUE(s.ok()) << s.ToString();
-        closed.store(true);
-      });
-      // Keep consuming into the teeth of the concurrent Close; every
-      // outcome except a hang or a crash is legal.
-      uint64_t drained = 0;
-      while (true) {
-        Status s = cursor.Next(&view, &has_next);
-        if (!s.ok() || !has_next) break;
-        drained++;
-      }
-      closer.join();
-      EXPECT_TRUE(closed.load());
-      ASSERT_OK(cursor.Close());  // idempotent after the race
-      (void)drained;
-    }
-  }
-}
-
-// An abandoned scan must hand the consumer's in-flight block back to an
-// external pool (via destruction or reopen) instead of stranding its
-// warmed arena -- otherwise every early-closed scan erodes the pool's
-// steady-state zero-allocation property.
-TEST_F(ShardedAdjacencyFileTest, ExternalPoolRecyclesAbandonedBlock) {
-  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(4000, 2.0), 39);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 4));
-  RecordBlockPool shared_pool;
-  {
-    ThreadPool pool(2);
-    ManifestOrderedShardCursor cursor;
-    BlockRingOptions ring;
-    ring.pool = &shared_pool;
-    ASSERT_OK(cursor.Open(manifest, &pool, ring));
-    VertexRecordView view;
-    bool has_next = false;
-    ASSERT_OK(cursor.Next(&view, &has_next));  // consumer now holds a block
-    ASSERT_TRUE(has_next);
-    ASSERT_OK(cursor.Close());
-  }  // destructor must return the held block to shared_pool
-  const uint64_t created_after_abandon = shared_pool.blocks_created();
-  EXPECT_GT(shared_pool.pooled_capacity_bytes(), 0u);
-
-  // A full second scan over the same pool reuses the recycled arenas.
-  ThreadPool pool(2);
-  ManifestOrderedShardCursor cursor;
-  BlockRingOptions ring;
-  ring.pool = &shared_pool;
-  ASSERT_OK(cursor.Open(manifest, &pool, ring));
-  uint64_t records = 0;
+// Scans `manifest` until the scanner fails or ends; returns the status
+// and the number of records yielded before it.
+Status ScanToEnd(const std::string& manifest, uint64_t* yielded) {
+  AdjacencyFileScanner scanner;
+  SEMIS_RETURN_IF_ERROR(scanner.Open(manifest));
   VertexRecordView view;
   bool has_next = false;
+  *yielded = 0;
   while (true) {
-    ASSERT_OK(cursor.Next(&view, &has_next));
-    if (!has_next) break;
-    records++;
+    SEMIS_RETURN_IF_ERROR(scanner.Next(&view, &has_next));
+    if (!has_next) return Status::OK();
+    (*yielded)++;
   }
-  ASSERT_OK(cursor.Close());
-  EXPECT_EQ(records, g.NumVertices());
-  EXPECT_GE(shared_pool.blocks_created(), created_after_abandon);
 }
 
-TEST_F(ShardedAdjacencyFileTest, CursorCountersSurfaceInIoStats) {
-  Graph g = GeneratePlrg(PlrgSpec::ForVertexCount(20000, 2.0), 38);
-  std::string mono = WriteGraphFile(&scratch_, g);
-  std::string manifest = NewPath("sharded");
-  ASSERT_OK(ShardAdjacencyFile(mono, manifest, 4));
-  IoStats io;
-  ThreadPool pool(2);
-  ManifestOrderedShardCursor cursor(&io);
-  BlockRingOptions ring;
-  ring.block_bytes = 1024;
-  ASSERT_OK(cursor.Open(manifest, &pool, ring));
-  uint64_t records = 0;
-  VertexRecordView view;
-  bool has_next = false;
-  while (true) {
-    ASSERT_OK(cursor.Next(&view, &has_next));
-    if (!has_next) break;
-    records++;
-  }
-  ASSERT_OK(cursor.Close());
-  EXPECT_EQ(records, g.NumVertices());
-  EXPECT_EQ(io.records_decoded, g.NumVertices());
-  EXPECT_GT(io.blocks_decoded, 0u);
-  EXPECT_EQ(io.blocks_decoded, cursor.blocks_decoded());
-  EXPECT_GT(io.arena_bytes, 0u);
-  EXPECT_GT(io.peak_buffered_bytes, 0u);
-  // The ring budget, not the largest shard, bounds the buffering: with
-  // 1 KiB blocks the default budget (plus the bounded overshoot of the
-  // starvation override) stays far below one shard of this graph.
-  uint64_t min_shard_bytes = UINT64_MAX;
-  for (const ShardInfo& s : cursor.manifest().shards) {
-    min_shard_bytes = std::min(
-        min_shard_bytes,
-        (2 * s.num_records + s.num_directed_edges) * sizeof(VertexId));
-  }
-  EXPECT_LT(io.peak_buffered_bytes, min_shard_bytes);
-}
-
-TEST_F(ShardedAdjacencyFileTest, CloseReportsErrorOfUnconsumedShard) {
-  // Regression: an abandoned scan used to swallow a decode error in a
-  // shard the consumer never reached -- Close() returned OK and a
-  // truncated shard went entirely unreported. Close must surface the
-  // first such error.
+// Damage in the LAST shard is reported once the scan gets there, after
+// every record of the healthy shards before it: a scan that reports
+// success has read every shard.
+TEST_F(ShardedAdjacencyFileTest, ErrorInALaterShardIsReported) {
   Graph g = GenerateErdosRenyi(2000, 6000, 34);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
   ASSERT_OK(ShardAdjacencyFile(mono, manifest, 4));
-  // Chop the tail off the LAST shard, so the damage sits in a shard the
-  // consumer (which reads nothing at all here) never gets near.
+  ShardedAdjacencyManifest m;
+  ASSERT_OK(ReadShardedAdjacencyManifest(manifest, &m));
   const std::string shard3 = ShardFilePath(manifest, 3);
   uint64_t size = 0;
   ASSERT_OK(GetFileSize(shard3, &size));
   ASSERT_GT(size, 16u);
   std::filesystem::resize_file(shard3, size - 7);
 
-  ThreadPool pool(2);
-  ManifestOrderedShardCursor cursor;
-  BlockRingOptions ring;
-  // A budget far above the whole file: no decoder ever stalls on
-  // back-pressure, so WaitForCompletion below is deterministic.
-  ring.max_buffered_bytes = 16u << 20;
-  ASSERT_OK(cursor.Open(manifest, &pool, ring));
-  // Let every decoder run to completion, so shard 3 has recorded its
-  // error before Close inspects the streams.
-  pool.WaitForCompletion();
-  Status closed = cursor.Close();
-  EXPECT_FALSE(closed.ok()) << "truncated unconsumed shard reported OK";
-  // Close stays idempotent: the error is reported once, not latched.
-  EXPECT_OK(cursor.Close());
+  uint64_t yielded = 0;
+  Status s = ScanToEnd(manifest, &yielded);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_GE(yielded, m.shards[0].num_records + m.shards[1].num_records +
+                         m.shards[2].num_records);
+  EXPECT_LT(yielded, g.NumVertices());
 }
 
 TEST_F(ShardedAdjacencyFileTest, TruncatedShardSurfacesThroughNext) {
-  // The in-band flavor of the same contract: a consumer that DOES reach
-  // the damaged shard gets the error from Next, after every record of
-  // the healthy shards before it.
+  // A scan that reaches a damaged shard gets the error from Next, after
+  // every record of the healthy shards before it -- never a clean end.
   Graph g = GenerateErdosRenyi(2000, 6000, 35);
   std::string mono = WriteGraphFile(&scratch_, g);
   std::string manifest = NewPath("sharded");
@@ -610,19 +308,11 @@ TEST_F(ShardedAdjacencyFileTest, TruncatedShardSurfacesThroughNext) {
   ASSERT_OK(GetFileSize(shard1, &size));
   std::filesystem::resize_file(shard1, size - 7);
 
-  ThreadPool pool(2);
-  ManifestOrderedShardCursor cursor;
-  ASSERT_OK(cursor.Open(manifest, &pool));
-  VertexRecordView view;
-  bool has_next = false;
   uint64_t yielded = 0;
-  Status s;
-  while ((s = cursor.Next(&view, &has_next)).ok() && has_next) yielded++;
+  Status s = ScanToEnd(manifest, &yielded);
   EXPECT_FALSE(s.ok()) << "scan over a truncated shard completed OK";
-  // Every record of the healthy shard 0 was delivered before the error.
   EXPECT_GE(yielded, m.shards[0].num_records);
-  // The scan never reached the end, so Close re-reports the failure.
-  EXPECT_FALSE(cursor.Close().ok());
+  EXPECT_LT(yielded, m.shards[0].num_records + m.shards[1].num_records);
 }
 
 TEST_F(ShardedAdjacencyFileTest, ShardReaderValidatesIndex) {

@@ -32,8 +32,9 @@
 //                      [--compact-threshold E] [--compact] [--resort]
 //                      [--set set.txt] [--out set.txt] [--verify]
 //                      (maintains an independent set under the edge-update
-//                       stream: batched apply -> parallel repair; the
-//                       result is byte-identical for every thread count.
+//                       stream: batched apply -> repair, each repair one
+//                       sequential scan, so --threads does not change the
+//                       result (nor, with no swap stage, the work).
 //                       A monolithic input is sharded to <input>.sadjs
 //                       first; a SADJS manifest is updated in place. A
 //                       shard whose delta log reaches E entries is
@@ -512,11 +513,8 @@ int CmdSolve(const Args& args) {
                   static_cast<unsigned long long>(res.rounds.set_size),
                   static_cast<unsigned long long>(final_frontier));
     }
-    // Decode counters. records_decoded spans EVERY scan (the initial
-    // engine's passes plus each swap round's rescans; a SADJ file is a
-    // one-shard store); the block-ring line covers only the cursor-driven
-    // stages -- all zero on the single-file path -- which is why records
-    // per block don't divide.
+    // records_decoded spans EVERY scan (the initial engine's passes plus
+    // each swap round's rescans; a SADJ file is a one-shard store).
     const double decode_seconds =
         res.greedy.seconds + res.rounds.seconds + res.swap.seconds > 0.0
             ? res.greedy.seconds + res.rounds.seconds + res.swap.seconds
@@ -525,16 +523,9 @@ int CmdSolve(const Args& args) {
         decode_seconds > 0.0
             ? static_cast<double>(res.io.records_decoded) / decode_seconds
             : 0.0;
-    std::printf("  decode pipeline: %llu records over all shard scans "
-                "(%.0f records/s)\n",
+    std::printf("  records decoded: %llu over all scans (%.0f records/s)\n",
                 static_cast<unsigned long long>(res.io.records_decoded),
                 records_per_sec);
-    std::printf("  block ring     : %llu blocks, arena %s, "
-                "peak buffered %s\n",
-                static_cast<unsigned long long>(res.io.blocks_decoded),
-                MemoryTracker::FormatBytes(res.io.arena_bytes).c_str(),
-                MemoryTracker::FormatBytes(
-                    res.io.peak_buffered_bytes).c_str());
   }
   if (args.Has("out")) {
     s = WriteSetText(res.set, args.Get("out"));
