@@ -2,29 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "core/swap_candidate_index.h"
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
+#include "util/u64_hash_set.h"
 
 namespace semis {
 
 namespace {
-
-// Normalized key of an IS pair {w1, w2} (as in two_k_swap.cc).
-uint64_t PairKey(VertexId a, VertexId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
-VertexId PairFirst(uint64_t key) { return static_cast<VertexId>(key >> 32); }
-VertexId PairSecond(uint64_t key) {
-  return static_cast<VertexId>(key & 0xFFFFFFFFull);
-}
 
 // Per-vertex commit decision of one round, written only by the worker
 // scanning the vertex's record.
@@ -47,7 +37,8 @@ class ParallelSwapRun {
         cnt_(n_),
         mark_r_(n_),
         decision_(n_, Decision::kNone),
-        free_(n_, 0) {}
+        free_(n_, 0),
+        contexts_(pool_.size()) {}
 
   // Exactly one of `initial_set` / `initial_states` is non-null; both
   // describe the same thing (initial IS membership per vertex).
@@ -55,38 +46,28 @@ class ParallelSwapRun {
                  const std::vector<VState>* initial_states, AlgoResult* res);
 
  private:
-  // Shard-local SC structures of the 2<->k discovery (Algorithm 4),
-  // reset for every shard so discovery never depends on which worker
-  // scans which shard.
-  struct ShardContext {
-    struct Bucket {
-      std::vector<VertexId> anchors;
-      std::vector<std::pair<VertexId, VertexId>> pairs;
-      bool freed = false;
-    };
-    std::unordered_map<uint64_t, Bucket> buckets;
-    std::unordered_map<VertexId, std::vector<uint64_t>> keys_with_w;
+  // Shard-local scan-order context of the 2<->k discovery (Algorithm 4).
+  // Each worker owns one and clears it at every shard start, so discovery
+  // never depends on which worker scans which shard; clearing keeps the
+  // capacity, so a warm context allocates nothing.
+  // Cache-line aligned: each worker writes its own context on every
+  // record, so neighboring contexts must not share a line.
+  struct alignas(64) ShardContext {
+    SwapCandidateIndex sc;
     // IS vertices this shard already marked for removal, and non-IS
     // vertices already consumed by a fired skeleton.
-    std::unordered_set<VertexId> removed;
-    std::unordered_set<VertexId> used;
+    U64HashSet removed;
+    U64HashSet used;
     uint64_t sc_vertices = 0;
 
-    size_t ApproxBytes() const {
-      size_t bytes = 0;
-      // Order-insensitive sums for memory accounting.
-      // semis-lint: allow(unordered-iteration)
-      for (const auto& kv : buckets) {
-        bytes += sizeof(kv) + kv.second.anchors.capacity() * sizeof(VertexId) +
-                 kv.second.pairs.capacity() *
-                     sizeof(std::pair<VertexId, VertexId>);
-      }
-      // semis-lint: allow(unordered-iteration)
-      for (const auto& kv : keys_with_w) {
-        bytes += sizeof(kv) + kv.second.capacity() * sizeof(uint64_t);
-      }
-      bytes += (removed.size() + used.size()) * 2 * sizeof(VertexId);
-      return bytes;
+    void Clear() {
+      sc.Clear();
+      removed.Reset();
+      used.Reset();
+      sc_vertices = 0;
+    }
+    size_t MemoryBytes() const {
+      return sc.MemoryBytes() + removed.MemoryBytes() + used.MemoryBytes();
     }
   };
 
@@ -164,11 +145,11 @@ class ParallelSwapRun {
 
   // --- proposal-scan helpers (shard-local, snapshot state only) ---
   bool IsLive(VertexId w, const ShardContext& ctx) const {
-    return State(w) == VState::kI && ctx.removed.count(w) == 0;
+    return State(w) == VState::kI && !ctx.removed.Contains(w);
   }
   void MarkRemove(VertexId w, ShardContext* ctx) {
     mark_r_[w].store(1, std::memory_order_relaxed);
-    ctx->removed.insert(w);
+    ctx->removed.Insert(w);
   }
   void StampNeighbors(const VertexRecordView& rec, size_t worker);
   bool Stamped(VertexId v, size_t worker) const {
@@ -204,11 +185,8 @@ class ParallelSwapRun {
   std::vector<std::vector<uint32_t>> stamp_;
   std::vector<uint32_t> token_;
 
-  // Per-round accumulators shared across workers (commutative adds only).
-  std::atomic<uint64_t> round_one_k_{0};
-  std::atomic<uint64_t> round_two_k_{0};
-  std::atomic<uint64_t> sc_scan_vertices_{0};
-  std::atomic<uint64_t> sc_scan_bytes_{0};
+  // Per-worker proposal-scan context, indexed by worker id.
+  std::vector<ShardContext> contexts_;
 
   uint64_t is_size_ = 0;
   uint64_t sc_peak_vertices_ = 0;
@@ -271,102 +249,40 @@ void ParallelSwapRun::TryTwoKSwap(const VertexRecordView& rec, size_t worker,
   // context; it never leaves the shard, so discovery is identical no
   // matter which worker runs it.
   const VertexId u = rec.id;
-  const bool anchor = IsAnchor(u);
   const VertexId w1 = isn1_[u];
   const VertexId w2 = isn2_[u];
   StampNeighbors(rec, worker);
-
-  if (anchor && IsLive(w1, *ctx) && IsLive(w2, *ctx)) {
-    const uint64_t key = PairKey(w1, w2);
-    auto [it, inserted] = ctx->buckets.try_emplace(key);
-    ShardContext::Bucket& bucket = it->second;
-    if (inserted) {
-      ctx->keys_with_w[w1].push_back(key);
-      ctx->keys_with_w[w2].push_back(key);
-    }
-    if (bucket.pairs.size() < options_.max_pairs_per_bucket) {
-      VertexId partner = kInvalidVertex;
-      for (VertexId v : bucket.anchors) {
-        if (v != u && ctx->used.count(v) == 0 && !Stamped(v, worker)) {
-          partner = v;
-          break;
-        }
-      }
-      if (partner != kInvalidVertex) bucket.pairs.emplace_back(u, partner);
-    }
-    bucket.anchors.push_back(u);
+  auto live = [this, ctx](VertexId w) { return IsLive(w, *ctx); };
+  auto can_join = [this, ctx, worker](VertexId v) {
+    return !ctx->used.Contains(v) && !Stamped(v, worker);
+  };
+  if (ctx->sc.Register(u, w1, w2, options_.max_pairs_per_bucket, live,
+                       can_join)) {
     ctx->sc_vertices++;
-  } else if (!anchor && IsLive(w1, *ctx)) {
-    auto kit = ctx->keys_with_w.find(w1);
-    if (kit != ctx->keys_with_w.end()) {
-      for (uint64_t key : kit->second) {
-        ShardContext::Bucket& bucket = ctx->buckets[key];
-        if (bucket.freed ||
-            bucket.pairs.size() >= options_.max_pairs_per_bucket) {
-          continue;
-        }
-        VertexId partner = kInvalidVertex;
-        for (VertexId v : bucket.anchors) {
-          if (v != u && ctx->used.count(v) == 0 && !Stamped(v, worker)) {
-            partner = v;
-            break;
-          }
-        }
-        if (partner != kInvalidVertex) {
-          bucket.pairs.emplace_back(partner, u);  // anchor first
-          ctx->sc_vertices++;
-          break;
-        }
-      }
-    }
   }
 
   // 2-3 skeleton with u as the third vertex.
-  const uint64_t single_key = anchor ? PairKey(w1, w2) : 0;
-  const std::vector<uint64_t>* keys = nullptr;
-  std::vector<uint64_t> one_key;
-  if (anchor) {
-    if (IsLive(w1, *ctx) && IsLive(w2, *ctx)) {
-      one_key.push_back(single_key);
-      keys = &one_key;
-    }
-  } else {
-    auto kit = ctx->keys_with_w.find(w1);
-    if (kit != ctx->keys_with_w.end()) keys = &kit->second;
-  }
-  if (keys == nullptr) return;
-  for (uint64_t key : *keys) {
-    auto bit = ctx->buckets.find(key);
-    if (bit == ctx->buckets.end() || bit->second.freed) continue;
-    const VertexId kw1 = PairFirst(key), kw2 = PairSecond(key);
-    if (!IsLive(kw1, *ctx) || !IsLive(kw2, *ctx)) continue;
-    for (const auto& [v1, v2] : bit->second.pairs) {
-      if (v1 == u || v2 == u) continue;
-      if (ctx->used.count(v1) != 0 || ctx->used.count(v2) != 0) continue;
-      if (Stamped(v1, worker) || Stamped(v2, worker)) continue;
-      // Fire: (v1, v2, u) replace (kw1, kw2). The entering trio joins the
-      // wave via the all-ISN-removed rule at the swap scan.
-      ctx->used.insert(u);
-      ctx->used.insert(v1);
-      ctx->used.insert(v2);
-      MarkRemove(kw1, ctx);
-      MarkRemove(kw2, ctx);
-      bit->second.freed = true;
-      round->two_k_swaps++;  // per-round totals aggregated via atomics below
-      return;
-    }
-  }
+  SwapCandidateIndex::Skeleton sk;
+  if (!ctx->sc.TakeSkeleton(u, w1, w2, live, can_join, &sk)) return;
+  // Fire: (v1, v2, u) replace (w1, w2). The entering trio joins the wave
+  // via the all-ISN-removed rule at the swap scan.
+  ctx->used.Insert(u);
+  ctx->used.Insert(sk.v1);
+  ctx->used.Insert(sk.v2);
+  MarkRemove(sk.w1, ctx);
+  MarkRemove(sk.w2, ctx);
+  round->two_k_swaps++;  // per-round totals aggregated via atomics below
 }
 
 void ParallelSwapRun::ProposalVertex(const VertexRecordView& rec, size_t worker,
                                      ShardContext* ctx, RoundStats* round) {
   const VertexId u = rec.id;
   if (State(u) != VState::kA) return;
-  if (ctx->used.count(u) != 0) return;  // already entering via a skeleton
+  if (ctx->used.Contains(u)) return;  // already entering via a skeleton
 
   if (options_.enable_two_k) {
     TryTwoKSwap(rec, worker, ctx, round);
-    if (ctx->used.count(u) != 0) return;
+    if (ctx->used.Contains(u)) return;
   }
 
   // 1-2 swap skeleton via the ISN^-1 counting trick (Section 5.4): u has
@@ -390,27 +306,27 @@ void ParallelSwapRun::ProposalVertex(const VertexRecordView& rec, size_t worker,
 }
 
 Status ParallelSwapRun::ProposalScan(RoundStats* round, AlgoResult* res) {
-  sc_scan_vertices_.store(0, std::memory_order_relaxed);
-  sc_scan_bytes_.store(0, std::memory_order_relaxed);
-  std::atomic<uint64_t> one_k{0}, two_k{0};
+  std::atomic<uint64_t> one_k{0}, two_k{0}, sc_vertices{0};
   SEMIS_RETURN_IF_ERROR(RunShardPass([&](uint32_t shard, size_t worker) {
-    ShardContext ctx;
+    ShardContext& ctx = contexts_[worker];
+    ctx.Clear();
     RoundStats local;
     Status s = ScanOneShard(shard, worker, [&](const VertexRecordView& rec) {
       ProposalVertex(rec, worker, &ctx, &local);
     });
     one_k.fetch_add(local.one_k_swaps, std::memory_order_relaxed);
     two_k.fetch_add(local.two_k_swaps, std::memory_order_relaxed);
-    sc_scan_vertices_.fetch_add(ctx.sc_vertices, std::memory_order_relaxed);
-    sc_scan_bytes_.fetch_add(ctx.ApproxBytes(), std::memory_order_relaxed);
+    sc_vertices.fetch_add(ctx.sc_vertices, std::memory_order_relaxed);
     return s;
   }));
   round->one_k_swaps = one_k.load();
   round->two_k_swaps = two_k.load();
-  const uint64_t sc_now = sc_scan_vertices_.load();
-  sc_peak_vertices_ = std::max(sc_peak_vertices_, sc_now);
-  res->memory.Set("sc", sc_scan_bytes_.load());
-  res->memory.Set("sc", 0);  // freed at end of scan; Set records the peak
+  sc_peak_vertices_ = std::max(sc_peak_vertices_, sc_vertices.load());
+  // The per-worker contexts stay resident between scans: charge what they
+  // hold, retained capacity included.
+  size_t sc_bytes = 0;
+  for (const ShardContext& ctx : contexts_) sc_bytes += ctx.MemoryBytes();
+  res->memory.Set("sc", sc_bytes);
   return Status::OK();
 }
 

@@ -12,9 +12,11 @@
 //     (b) commutative atomics (counters), or (c) idempotent atomic flags
 //     (mark-removed); none of these depend on scan interleaving;
 //   * swap-candidate discovery that needs scan-order context (the 2<->k
-//     SC buckets of Algorithm 4) is shard-local: a worker only combines
-//     records of the shard it is currently scanning, and shard contents
-//     are fixed by the file, not by the thread count;
+//     SC buckets of Algorithm 4, kept in the SwapCandidateIndex the
+//     sequential two-k swap uses too) is shard-local: each worker clears
+//     its index at every shard start and only combines records of the
+//     shard it is scanning, and shard contents are fixed by the file, not
+//     by the thread count;
 //   * conflicting promotions are resolved by a fixed priority: the lowest
 //     vertex id wins, evaluated independently per vertex.
 // Consequently the executor with num_threads == 1 IS the sequential path;

@@ -1,25 +1,15 @@
 #include "core/two_k_swap.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
+#include "core/swap_candidate_index.h"
 #include "graph/adjacency_file.h"
 #include "util/timer.h"
 
 namespace semis {
 
 namespace {
-
-// Normalized key of an IS pair {w1, w2}.
-uint64_t PairKey(VertexId a, VertexId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
-VertexId PairFirst(uint64_t key) { return static_cast<VertexId>(key >> 32); }
-VertexId PairSecond(uint64_t key) {
-  return static_cast<VertexId>(key & 0xFFFFFFFFull);
-}
 
 class TwoKSwapRun {
  public:
@@ -35,12 +25,6 @@ class TwoKSwapRun {
                  AlgoResult* res);
 
  private:
-  struct Bucket {
-    std::vector<VertexId> anchors;
-    std::vector<std::pair<VertexId, VertexId>> pairs;
-    bool freed = false;
-  };
-
   bool IsAnchor(VertexId u) const { return isn2_[u] != kInvalidVertex; }
 
   // --- ISN^-1 counter for single-ISN vertices (1-2 skeleton test). As in
@@ -69,12 +53,6 @@ class TwoKSwapRun {
     for (uint32_t i = 0; i < rec.degree; ++i) stamp_[rec.neighbors[i]] = token_;
   }
   bool Adjacent(VertexId v) const { return stamp_[v] == token_; }
-
-  void ClearScStructures() {
-    buckets_.clear();
-    keys_with_w_.clear();
-    sc_vertices_this_scan_ = 0;
-  }
 
   Status InitialLabelScan(AdjacencyFileScanner* scanner);
   Status PreSwapScan(AdjacencyFileScanner* scanner, RoundStats* round);
@@ -109,16 +87,15 @@ class TwoKSwapRun {
   std::vector<VertexId> isn1_;
   std::vector<VertexId> isn2_;
 
-  // Per-pre-swap-scan SC structures (freed after every scan). Only
-  // anchors (|ISN| = 2) are registered; a single-ISN vertex enters SC
-  // solely as the second member of a candidate pair, matching the
-  // paper's storage (and Lemma 6's |SC| accounting -- registering every
-  // visited single would blow |SC| past the paper's 0.13|V|).
-  std::unordered_map<uint64_t, Bucket> buckets_;
-  std::unordered_map<VertexId, std::vector<uint64_t>> keys_with_w_;
+  // SC structures of one pre-swap scan, cleared at its start; the index
+  // keeps its capacity, so later scans allocate nothing. Only anchors
+  // (|ISN| = 2) are registered; a single-ISN vertex enters SC solely as
+  // the second member of a candidate pair, matching the paper's storage
+  // (and Lemma 6's |SC| accounting -- registering every visited single
+  // would blow |SC| past the paper's 0.13|V|).
+  SwapCandidateIndex sc_;
   uint64_t sc_vertices_this_scan_ = 0;
   uint64_t sc_peak_vertices_ = 0;
-  size_t sc_peak_bytes_ = 0;
 
   // Neighborhood stamping for O(1) adjacency tests against the record in
   // hand.
@@ -182,56 +159,16 @@ void TwoKSwapRun::PreSwapVertex(const VertexRecordView& rec, RoundStats* round) 
   }
 
   // ---- Line 1-2: register u in SC and add a pair when possible.
-  // Definition 2 requires both IS vertices to still be in the set.
-  if (anchor && state_[w1] == VState::kI && state_[w2] == VState::kI) {
-    const uint64_t key = PairKey(w1, w2);
-    auto [it, inserted] = buckets_.try_emplace(key);
-    Bucket& bucket = it->second;
-    if (inserted) {
-      keys_with_w_[w1].push_back(key);
-      keys_with_w_[w2].push_back(key);
-    }
-    if (bucket.pairs.size() < options_.max_pairs_per_bucket) {
-      // Partner search among earlier anchors of the same pair. Every
-      // candidate is checked against u's adjacency list (in hand) --
-      // Definition 2's no-edge test.
-      VertexId partner = kInvalidVertex;
-      for (VertexId v : bucket.anchors) {
-        if (v != u && state_[v] == VState::kA && !Adjacent(v)) {
-          partner = v;
-          break;
-        }
-      }
-      if (partner != kInvalidVertex) bucket.pairs.emplace_back(u, partner);
-    }
-    bucket.anchors.push_back(u);
+  // Definition 2 requires both IS vertices to still be in the set, and
+  // every partner is checked against u's adjacency list (in hand) -- its
+  // no-edge test.
+  auto live = [this](VertexId w) { return state_[w] == VState::kI; };
+  auto can_join = [this](VertexId v) {
+    return state_[v] == VState::kA && !Adjacent(v);
+  };
+  if (sc_.Register(u, w1, w2, options_.max_pairs_per_bucket, live,
+                   can_join)) {
     sc_vertices_this_scan_++;
-  } else if (!anchor && state_[w1] == VState::kI) {
-    // A single can complete a pair with an earlier anchor of any bucket
-    // containing w1 (Definition 2 with u2 = u). Singles are not
-    // registered themselves: they enter SC only as pair members.
-    auto kit = keys_with_w_.find(w1);
-    if (kit != keys_with_w_.end()) {
-      for (uint64_t key : kit->second) {
-        Bucket& bucket = buckets_[key];
-        if (bucket.freed ||
-            bucket.pairs.size() >= options_.max_pairs_per_bucket) {
-          continue;
-        }
-        VertexId partner = kInvalidVertex;
-        for (VertexId v : bucket.anchors) {
-          if (v != u && state_[v] == VState::kA && !Adjacent(v)) {
-            partner = v;
-            break;
-          }
-        }
-        if (partner != kInvalidVertex) {
-          bucket.pairs.emplace_back(partner, u);  // anchor first
-          sc_vertices_this_scan_++;               // u joins SC via the pair
-          break;
-        }
-      }
-    }
   }
 
   // ---- Line 3-4: conflict.
@@ -243,42 +180,17 @@ void TwoKSwapRun::PreSwapVertex(const VertexRecordView& rec, RoundStats* round) 
   }
 
   // ---- Line 5-8: 2-3 swap skeleton with u as the third vertex.
-  {
-    const uint64_t single_key_storage[1] = {anchor ? PairKey(w1, w2) : 0};
-    const std::vector<uint64_t>* keys = nullptr;
-    std::vector<uint64_t> one_key;
-    if (anchor) {
-      if (state_[w1] == VState::kI && state_[w2] == VState::kI) {
-        one_key.assign(single_key_storage, single_key_storage + 1);
-        keys = &one_key;
-      }
-    } else {
-      auto kit = keys_with_w_.find(w1);
-      if (kit != keys_with_w_.end()) keys = &kit->second;
-    }
-    if (keys != nullptr) {
-      for (uint64_t key : *keys) {
-        auto bit = buckets_.find(key);
-        if (bit == buckets_.end() || bit->second.freed) continue;
-        const VertexId kw1 = PairFirst(key), kw2 = PairSecond(key);
-        if (state_[kw1] != VState::kI || state_[kw2] != VState::kI) continue;
-        for (const auto& [v1, v2] : bit->second.pairs) {
-          if (v1 == u || v2 == u) continue;
-          if (state_[v1] != VState::kA || state_[v2] != VState::kA) continue;
-          if (Adjacent(v1) || Adjacent(v2)) continue;
-          // Fire: (v1, v2, u) replace (kw1, kw2).
-          LeaveA(u);
-          LeaveA(v1);
-          LeaveA(v2);
-          state_[u] = state_[v1] = state_[v2] = VState::kP;
-          state_[kw1] = VState::kR;
-          state_[kw2] = VState::kR;
-          bit->second.freed = true;  // Algorithm 4 line 8
-          round->two_k_swaps++;
-          return;
-        }
-      }
-    }
+  SwapCandidateIndex::Skeleton sk;
+  if (sc_.TakeSkeleton(u, w1, w2, live, can_join, &sk)) {
+    // Fire: (v1, v2, u) replace (w1, w2); the index freed the bucket.
+    LeaveA(u);
+    LeaveA(sk.v1);
+    LeaveA(sk.v2);
+    state_[u] = state_[sk.v1] = state_[sk.v2] = VState::kP;
+    state_[sk.w1] = VState::kR;
+    state_[sk.w2] = VState::kR;
+    round->two_k_swaps++;
+    return;
   }
 
   // ---- Line 9-10: 1-2 swap skeleton (single-ISN vertices only; an anchor
@@ -303,7 +215,8 @@ void TwoKSwapRun::PreSwapVertex(const VertexRecordView& rec, RoundStats* round) 
 
 Status TwoKSwapRun::PreSwapScan(AdjacencyFileScanner* scanner,
                                 RoundStats* round) {
-  ClearScStructures();
+  sc_.Clear();
+  sc_vertices_this_scan_ = 0;
   VertexRecordView rec;
   bool has_next = false;
   while (true) {
@@ -313,19 +226,6 @@ Status TwoKSwapRun::PreSwapScan(AdjacencyFileScanner* scanner,
     PreSwapVertex(rec, round);
   }
   sc_peak_vertices_ = std::max(sc_peak_vertices_, sc_vertices_this_scan_);
-  size_t bytes = 0;
-  // Order-insensitive sums for memory accounting.
-  // semis-lint: allow(unordered-iteration)
-  for (const auto& kv : buckets_) {
-    bytes += sizeof(kv) + kv.second.anchors.capacity() * sizeof(VertexId) +
-             kv.second.pairs.capacity() * sizeof(std::pair<VertexId, VertexId>);
-  }
-  // semis-lint: allow(unordered-iteration)
-  for (const auto& kv : keys_with_w_) {
-    bytes += sizeof(kv) + kv.second.capacity() * sizeof(uint64_t);
-  }
-  sc_peak_bytes_ = std::max(sc_peak_bytes_, bytes);
-  ClearScStructures();
   return Status::OK();
 }
 
@@ -495,7 +395,8 @@ Status TwoKSwapRun::Execute(AdjacencyFileScanner* scanner,
     round.seconds = round_timer.ElapsedSeconds();
     res->round_stats.push_back(round);
     res->rounds++;
-    res->memory.Set("sc", sc_peak_bytes_);
+    // The index stays resident between scans: charge what it holds.
+    res->memory.Set("sc", sc_.MemoryBytes());
     // Denied promotions can make an individual round net-neutral; a run
     // of gainless rounds means the remaining skeletons keep losing the
     // same races, so stop rather than oscillate.

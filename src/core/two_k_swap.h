@@ -16,9 +16,11 @@
 //   * when a third mutually non-adjacent vertex arrives, the 2-3 skeleton
 //     fires: three vertices become P, w1 and w2 become R, and SC(w1,w2)
 //     is freed (Algorithm 4 line 8).
-// All SC structures live only within one pre-swap scan; their peak vertex
-// count is reported (Figure 10 plots it at about 0.13 |V|, and Lemma 6
-// bounds it by |V| - e^alpha).
+// The SC structures are a SwapCandidateIndex (core/swap_candidate_index.h,
+// shared with the parallel executor), cleared at the start of every
+// pre-swap scan with its capacity kept. Their peak vertex count is
+// reported (Figure 10 plots it at about 0.13 |V|, and Lemma 6 bounds it by
+// |V| - e^alpha).
 //
 // One-k swaps (Definition 1) remain available inside the same round via
 // the ISN^-1 counting trick, restricted to single-ISN vertices.

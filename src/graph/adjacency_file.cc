@@ -264,9 +264,10 @@ Status AdjacencyFileScanner::Open(const std::string& path) {
                                 "': not an adjacency file or store");
     }
     // A store root: the shard paths derive from the serving epoch's
-    // manifest, not from the root.
-    SEMIS_RETURN_IF_ERROR(
-        ReadShardStoreManifest(path, &manifest_, stats_, &manifest_path_));
+    // manifest, not from the root. Route on the magic just read rather
+    // than opening the root again to probe it.
+    SEMIS_RETURN_IF_ERROR(ReadShardStoreManifest(path, magic, &manifest_,
+                                                 stats_, &manifest_path_));
     SEMIS_RETURN_IF_ERROR(reader_.Open(manifest_path_, manifest_, 0));
   }
   if (stats_ != nullptr) stats_->sequential_scans++;

@@ -159,15 +159,14 @@ bool IsEpochDamage(const Status& s) {
          (s.IsIOError() && s.sys_errno() == ENOENT);
 }
 
-// Shared resolution. When `durable`, a fallback is committed back to the
-// root pointer so later readers skip the damaged epoch.
-Status ResolveInternal(const std::string& root_path, bool durable,
-                       ResolvedShardStore* out, ShardStoreRecovery* recovery,
-                       IoStats* stats) {
+// Shared resolution of a root whose first four bytes are `magic`. When
+// `durable`, a fallback is committed back to the root pointer so later
+// readers skip the damaged epoch.
+Status ResolveInternal(const std::string& root_path, uint32_t magic,
+                       bool durable, ResolvedShardStore* out,
+                       ShardStoreRecovery* recovery, IoStats* stats) {
   ResolvedShardStore resolved;
   resolved.root_path = root_path;
-  uint32_t magic = 0;
-  SEMIS_RETURN_IF_ERROR(ProbeFileMagic(root_path, &magic, stats));
   if (magic != kEpochRootMagic) {
     // Legacy (SADM) store -- or not a store at all, in which case the
     // manifest reader's own diagnostics fire downstream.
@@ -221,14 +220,19 @@ Status ResolveInternal(const std::string& root_path, bool durable,
 
 Status ResolveShardStore(const std::string& root_path, ResolvedShardStore* out,
                          IoStats* stats) {
-  return ResolveInternal(root_path, /*durable=*/false, out, nullptr, stats);
+  uint32_t magic = 0;
+  SEMIS_RETURN_IF_ERROR(ProbeFileMagic(root_path, &magic, stats));
+  return ResolveInternal(root_path, magic, /*durable=*/false, out, nullptr,
+                         stats);
 }
 
 Status RecoverShardStore(const std::string& root_path, ResolvedShardStore* out,
                          ShardStoreRecovery* recovery, IoStats* stats) {
   ShardStoreRecovery local;
-  SEMIS_RETURN_IF_ERROR(
-      ResolveInternal(root_path, /*durable=*/true, out, &local, stats));
+  uint32_t magic = 0;
+  SEMIS_RETURN_IF_ERROR(ProbeFileMagic(root_path, &magic, stats));
+  SEMIS_RETURN_IF_ERROR(ResolveInternal(root_path, magic, /*durable=*/true,
+                                        out, &local, stats));
   SEMIS_RETURN_IF_ERROR(GarbageCollectShardStore(*out, &local.orphan_files_removed));
   if (recovery != nullptr) *recovery = local;
   return Status::OK();
@@ -282,8 +286,19 @@ Status GarbageCollectShardStore(const ResolvedShardStore& resolved,
 Status ReadShardStoreManifest(const std::string& root_path,
                               ShardedAdjacencyManifest* out, IoStats* stats,
                               std::string* manifest_path) {
+  uint32_t magic = 0;
+  SEMIS_RETURN_IF_ERROR(ProbeFileMagic(root_path, &magic, stats));
+  return ReadShardStoreManifest(root_path, magic, out, stats, manifest_path);
+}
+
+Status ReadShardStoreManifest(const std::string& root_path,
+                              uint32_t root_magic,
+                              ShardedAdjacencyManifest* out, IoStats* stats,
+                              std::string* manifest_path) {
   ResolvedShardStore resolved;
-  SEMIS_RETURN_IF_ERROR(ResolveShardStore(root_path, &resolved, stats));
+  SEMIS_RETURN_IF_ERROR(ResolveInternal(root_path, root_magic,
+                                        /*durable=*/false, &resolved, nullptr,
+                                        stats));
   SEMIS_RETURN_IF_ERROR(
       ReadShardedAdjacencyManifest(resolved.manifest_path, out, stats));
   if (manifest_path != nullptr) *manifest_path = resolved.manifest_path;

@@ -109,6 +109,14 @@ Status ReadShardStoreManifest(const std::string& root_path,
                               IoStats* stats = nullptr,
                               std::string* manifest_path = nullptr);
 
+/// As above, for a caller that has already read the root's magic (its
+/// first four bytes): routes on `root_magic` instead of opening the root
+/// a second time to probe it.
+Status ReadShardStoreManifest(const std::string& root_path,
+                              uint32_t root_magic,
+                              ShardedAdjacencyManifest* out, IoStats* stats,
+                              std::string* manifest_path);
+
 }  // namespace semis
 
 #endif  // SEMIS_GRAPH_SHARD_STORE_H_

@@ -24,35 +24,24 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::ParallelFor(
     size_t num_items, const std::function<void(size_t, size_t)>& fn) {
-  BeginParallelFor(num_items, fn);
-  WaitForCompletion();
-}
-
-void ThreadPool::BeginParallelFor(size_t num_items,
-                                  std::function<void(size_t, size_t)> fn) {
-  if (num_items == 0) return;  // job_active_ stays false; Wait is a no-op
+  if (num_items == 0) return;
   MutexLock lock(&mu_);
-  // One job at a time: overlapping Begins would reset the completion
-  // barrier mid-job and re-issue in-flight items under the new fn. Abort
-  // unconditionally (not assert) so the contract holds under NDEBUG too.
+  // One job at a time: an overlapping call (from another thread, or from
+  // inside `fn`) would reset the completion barrier mid-job and re-issue
+  // in-flight items under the new fn. Abort unconditionally (not assert)
+  // so the contract holds under NDEBUG too.
   if (job_active_) {
     std::fprintf(stderr,
-                 "ThreadPool::BeginParallelFor called while a job is in "
-                 "flight; call WaitForCompletion first\n");
+                 "ThreadPool::ParallelFor called while a job is in flight\n");
     std::abort();
   }
-  job_fn_ = std::move(fn);
+  job_fn_ = &fn;
   job_items_ = num_items;
   next_item_.store(0, std::memory_order_relaxed);
   workers_done_ = 0;
   job_active_ = true;
   epoch_++;
   job_cv_.NotifyAll();
-}
-
-void ThreadPool::WaitForCompletion() {
-  MutexLock lock(&mu_);
-  if (!job_active_) return;
   while (workers_done_ != threads_.size()) done_cv_.Wait(&mu_);
   job_active_ = false;
   job_fn_ = nullptr;
@@ -69,11 +58,11 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       if (stop_) return;
       seen_epoch = epoch_;
       items = job_items_;
-      // The pointer (not the guarded member) crosses the lock boundary:
-      // job_fn_ stays valid until WaitForCompletion clears it, which
-      // cannot happen before every worker has passed the workers_done_
-      // barrier below, so invoking through `fn` unlocked is safe.
-      fn = &job_fn_;
+      // The pointer crosses the lock boundary: the function it names
+      // outlives the job, since ParallelFor cannot return before every
+      // worker has passed the workers_done_ barrier below, so invoking
+      // through `fn` unlocked is safe.
+      fn = job_fn_;
     }
     while (true) {
       const size_t item = next_item_.fetch_add(1, std::memory_order_relaxed);

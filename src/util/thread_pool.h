@@ -6,10 +6,6 @@
 // the items are processed strictly in ascending order, which makes the
 // single-threaded execution the sequential reference path of every
 // algorithm built on top.
-//
-// The parallel-for comes in two flavors sharing one work queue: the
-// blocking ParallelFor, and a BeginParallelFor/WaitForCompletion split
-// that lets the submitting thread work while the pool runs the job.
 #ifndef SEMIS_UTIL_THREAD_POOL_H_
 #define SEMIS_UTIL_THREAD_POOL_H_
 
@@ -54,30 +50,19 @@ class ThreadPool {
                    const std::function<void(size_t item, size_t worker)>& fn)
       EXCLUDES(mu_);
 
-  /// Non-blocking half of ParallelFor: hands the job to the workers and
-  /// returns immediately, so the calling thread can consume what the
-  /// workers produce. The pool keeps its own copy of `fn`. Exactly one
-  /// job may be in flight; every Begin must be paired with a
-  /// WaitForCompletion before the next Begin (or destruction).
-  void BeginParallelFor(size_t num_items,
-                        std::function<void(size_t item, size_t worker)> fn)
-      EXCLUDES(mu_);
-
-  /// Blocks until the job started by BeginParallelFor has finished (all
-  /// items processed by all workers). No-op when no job is in flight.
-  void WaitForCompletion() EXCLUDES(mu_);
-
  private:
   void WorkerLoop(size_t worker_index) EXCLUDES(mu_);
 
   std::vector<std::thread> threads_;
   Mutex mu_;
   CondVar job_cv_;   // workers wait for a new job epoch
-  CondVar done_cv_;  // WaitForCompletion waits here
-  // Written under mu_ by Begin/Wait; workers invoke it OUTSIDE mu_ via a
-  // pointer taken under the lock. Safe because Wait cannot clear it until
+  CondVar done_cv_;  // ParallelFor waits here for the job to finish
+  // The running job's fn, owned by the blocked ParallelFor caller. Set
+  // under mu_; workers copy the pointer under the lock and invoke it
+  // outside. Safe because ParallelFor cannot return (or clear it) until
   // every worker has passed the workers_done_ barrier (see WorkerLoop).
-  std::function<void(size_t, size_t)> job_fn_ GUARDED_BY(mu_);
+  const std::function<void(size_t, size_t)>* job_fn_ GUARDED_BY(mu_) =
+      nullptr;
   bool job_active_ GUARDED_BY(mu_) = false;
   size_t job_items_ GUARDED_BY(mu_) = 0;
   std::atomic<size_t> next_item_{0};

@@ -3,10 +3,12 @@
 // backward-shift deletion (no tombstones), so a lookup touches one cache
 // line in the common case and the table stays 8 bytes per slot at a load
 // factor of at most 1/2. Used for the streaming delta's deleted-edge keys,
-// which the repair scan probes once per candidate base edge.
+// which the repair scan probes once per candidate base edge, and for the
+// parallel swap executor's per-shard removed and used vertices.
 #ifndef SEMIS_UTIL_U64_HASH_SET_H_
 #define SEMIS_UTIL_U64_HASH_SET_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -69,6 +71,14 @@ class U64HashSet {
   }
 
   size_t size() const { return size_; }
+
+  /// Empties the set but keeps its table, so refilling it to the same
+  /// size allocates nothing.
+  void Reset() {
+    if (size_ == 0) return;
+    std::fill(slots_.begin(), slots_.end(), kEmptyKey);
+    size_ = 0;
+  }
 
   /// Empties the set and releases its table.
   void Clear() {

@@ -18,7 +18,10 @@
 namespace semis {
 namespace {
 
+using testing_util::RandomMaximalSet;
+using testing_util::RoundStatsDigest;
 using testing_util::ScratchTest;
+using testing_util::SetDigest;
 using testing_util::SetToVector;
 using testing_util::WriteGraphFile;
 
@@ -178,6 +181,66 @@ TEST_F(ParallelSwapTest, SolverIntegrationEndToEnd) {
   SolveResult res1;
   ASSERT_OK(solver1.SolveFile(path, &res1));
   EXPECT_EQ(SetToVector(res1.set), SetToVector(res.set));
+}
+
+// What a pinned run reproduces: the result and the per-round counters.
+struct ParallelPin {
+  uint64_t set_size;
+  uint64_t rounds;
+  uint64_t sc_peak_vertices;
+  uint64_t two_k_swaps;  // summed over rounds
+  uint64_t round_digest;
+  uint64_t set_digest;
+};
+
+void ExpectParallelPin(const std::string& manifest, const BitVector& initial,
+                       const ParallelPin& want, const char* name) {
+  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(std::string(name) + " at " + std::to_string(threads) +
+                 " threads");
+    ParallelSwapOptions opts;
+    opts.num_threads = threads;
+    AlgoResult res;
+    ASSERT_OK(RunParallelSwap(manifest, initial, opts, &res));
+    uint64_t two_k_swaps = 0;
+    for (const RoundStats& r : res.round_stats) two_k_swaps += r.two_k_swaps;
+    const ParallelPin got{res.set_size, res.rounds, res.sc_peak_vertices,
+                          two_k_swaps, RoundStatsDigest(res.round_stats),
+                          SetDigest(res.in_set)};
+    EXPECT_EQ(got.set_size, want.set_size);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.sc_peak_vertices, want.sc_peak_vertices);
+    EXPECT_EQ(got.two_k_swaps, want.two_k_swaps);
+    EXPECT_EQ(got.round_digest, want.round_digest);
+    EXPECT_EQ(got.set_digest, want.set_digest);
+  }
+}
+
+TEST_F(ParallelSwapTest, PinnedRunsReproduceRecordedRounds) {
+  // Recorded from the node-based hash-map implementation of the
+  // shard-local SC buckets; the flat swap-candidate index keeps their
+  // insertion order, so the set and every round counter are unchanged at
+  // every thread count.
+  Graph plrg = GeneratePlrg(PlrgSpec::ForVertexCount(20000, 2.0), 41);
+  std::string plrg_manifest = Prepare(plrg, 8);
+  ExpectParallelPin(plrg_manifest, greedy_.in_set,
+                    ParallelPin{13693u, 2u, 1377u, 0u,
+                                0x50c91243bf8eaa92ull, 0x508657095787a15ull},
+                    "plrg");
+
+  Graph er = GenerateErdosRenyi(3000, 9000, 42);
+  std::string er_manifest = Prepare(er, 3);
+  ExpectParallelPin(er_manifest, RandomMaximalSet(er, 5),
+                    ParallelPin{1103u, 4u, 688u, 4u,
+                                0xcd1b1535e5e670e7ull, 0xef20dac602905d1aull},
+                    "er");
+
+  Graph er8 = GenerateErdosRenyi(20000, 50000, 43);
+  std::string er8_manifest = Prepare(er8, 8);
+  ExpectParallelPin(er8_manifest, RandomMaximalSet(er8, 9),
+                    ParallelPin{8177u, 6u, 4297u, 3u,
+                                0x75b2251df3eb9978ull, 0x278ab3401abff260ull},
+                    "er-8-shards");
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "core/greedy.h"
 #include "core/one_k_swap.h"
 #include "core/verify.h"
@@ -13,7 +17,10 @@
 namespace semis {
 namespace {
 
+using testing_util::Fnv1a;
 using testing_util::RandomMaximalSet;
+using testing_util::RoundStatsDigest;
+using testing_util::SetDigest;
 using testing_util::ScratchTest;
 using testing_util::SetToVector;
 using testing_util::WriteGraphFile;
@@ -151,9 +158,11 @@ TEST_F(TwoKSwapTest, MemoryStaysNearFourWordsPerVertex) {
   AlgoResult res;
   ASSERT_OK(RunTwoKSwap(path, greedy.in_set, {}, &res));
   // state (1B) + two ISN words (8B) + stamp (4B) + SC; the paper bounds
-  // the whole footprint by ~4 words/vertex. Our accounting also charges
-  // hash-map node overhead for SC, so allow 32B/vertex.
-  EXPECT_LT(res.peak_memory_bytes, 32ull * g.NumVertices());
+  // the whole footprint by ~4 words/vertex. The SC charge is every byte
+  // the swap-candidate index holds, table and slab slack included: 25.0
+  // B/vertex in all on this graph. The 3 B/vertex margin leaves room for
+  // one more doubling of a slab, not for a per-entry node allocator.
+  EXPECT_LT(res.peak_memory_bytes, 28ull * g.NumVertices());
   // The non-SC part is exactly 13 bytes/vertex + the result bitset.
   EXPECT_EQ(res.memory.CategoryBytes("state") +
                 res.memory.CategoryBytes("isn") +
@@ -258,6 +267,86 @@ TEST_F(TwoKSwapTest, StallGuardResetsAfterGainfulRound) {
   VerifyResult vr = VerifyIndependentSet(g, res.in_set);
   EXPECT_TRUE(vr.independent);
   EXPECT_TRUE(vr.maximal);
+}
+
+// What a pinned run reproduces: the result, the per-round counters, and
+// the state array at every observer phase, each folded into a digest.
+struct TwoKPin {
+  uint64_t set_size;
+  uint64_t rounds;
+  uint64_t sc_peak_vertices;
+  uint64_t phases_observed;
+  uint64_t two_k_swaps;  // summed over rounds
+  uint64_t phase_digest;
+  uint64_t round_digest;
+  uint64_t set_digest;
+};
+
+TwoKPin PinTwoKRun(const std::string& path, const BitVector& initial,
+                   TwoKSwapOptions opts) {
+  TwoKPin pin{};
+  pin.phase_digest = Fnv1a(nullptr, 0);
+  opts.observer = [&pin](const char* phase, uint64_t round,
+                         const std::vector<VState>& states) {
+    pin.phases_observed++;
+    pin.phase_digest = Fnv1a(phase, std::strlen(phase), pin.phase_digest);
+    pin.phase_digest = Fnv1a(&round, sizeof(round), pin.phase_digest);
+    pin.phase_digest =
+        Fnv1a(states.data(), states.size() * sizeof(VState), pin.phase_digest);
+  };
+  AlgoResult res;
+  Status s = RunTwoKSwap(path, initial, opts, &res);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  pin.set_size = res.set_size;
+  pin.rounds = res.rounds;
+  pin.sc_peak_vertices = res.sc_peak_vertices;
+  for (const RoundStats& r : res.round_stats) pin.two_k_swaps += r.two_k_swaps;
+  pin.round_digest = RoundStatsDigest(res.round_stats);
+  pin.set_digest = SetDigest(res.in_set);
+  return pin;
+}
+
+void ExpectPin(const TwoKPin& got, const TwoKPin& want, const char* name) {
+  SCOPED_TRACE(name);
+  EXPECT_EQ(got.set_size, want.set_size);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.sc_peak_vertices, want.sc_peak_vertices);
+  EXPECT_EQ(got.phases_observed, want.phases_observed);
+  EXPECT_EQ(got.two_k_swaps, want.two_k_swaps);
+  EXPECT_EQ(got.phase_digest, want.phase_digest);
+  EXPECT_EQ(got.round_digest, want.round_digest);
+  EXPECT_EQ(got.set_digest, want.set_digest);
+}
+
+TEST_F(TwoKSwapTest, PinnedRunsReproduceRecordedPhases) {
+  // Recorded from the node-based hash-map implementation of the SC
+  // buckets. The flat swap-candidate index visits anchors, pairs and
+  // per-IS-vertex keys in the same insertion order, so every phase's state
+  // array, every round counter and the set are unchanged bit for bit.
+  Graph plrg = GeneratePlrg(PlrgSpec::ForVertexCount(20000, 2.0), 41);
+  std::string plrg_path = WriteGraphFile(&scratch_, plrg);
+  AlgoResult greedy;
+  ASSERT_OK(RunGreedy(plrg_path, {}, &greedy));
+  ExpectPin(PinTwoKRun(plrg_path, greedy.in_set, {}),
+            TwoKPin{13685u, 4u, 1512u, 14u, 10u,
+                    0x725b083da08662ebull, 0x742f3e8ed3a3ed1aull,
+                    0x1262cd8797ec5bd2ull},
+            "plrg");
+  TwoKSwapOptions capped;
+  capped.max_pairs_per_bucket = 1;
+  ExpectPin(PinTwoKRun(plrg_path, greedy.in_set, capped),
+            TwoKPin{13685u, 4u, 1512u, 14u, 11u,
+                    0x44c9a26dca2b23f6ull, 0xac26ddc63f07257eull,
+                    0x1262cd8797ec5bd2ull},
+            "plrg-capped");
+
+  Graph er = GenerateErdosRenyi(3000, 9000, 42);
+  std::string er_path = WriteGraphFile(&scratch_, er);
+  ExpectPin(PinTwoKRun(er_path, RandomMaximalSet(er, 5), {}),
+            TwoKPin{1113u, 5u, 765u, 17u, 22u,
+                    0x410a62bd0a54bfabull, 0x2f95862a39524dbbull,
+                    0xb15e8fad11a248deull},
+            "er");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "core/incremental_stream.h"
 #include "gen/plrg.h"
+#include "graph/adjacency_file.h"
 #include "graph/shard_store.h"
 #include "graph/sharded_adjacency_file.h"
 #include "io/edge_delta_file.h"
@@ -299,6 +300,31 @@ TEST_F(ShardStoreTest, ValidateDetectsWrongShardSize) {
     ASSERT_OK(w.Close());
   }
   EXPECT_TRUE(ValidateShardStoreEpoch(root).IsCorruption());
+}
+
+TEST_F(ShardStoreTest, ScannerOpenRoutesOnTheMagicItRead) {
+  // AdjacencyFileScanner::Open reads a root's magic once and routes on
+  // it; resolving the store must not open the root again to probe it.
+  std::string root;
+  BitVector initial = MakeStore(3, &root);
+  IoStats legacy_io;
+  AdjacencyFileScanner legacy(&legacy_io);
+  ASSERT_OK(legacy.Open(root));
+  ASSERT_OK(legacy.Close());
+  // The root (magic read, then the manifest) and shard 0.
+  EXPECT_EQ(legacy_io.files_opened, 3u);
+
+  ShardedStreamingMis mis;
+  ASSERT_OK(mis.Initialize(root, initial, EnginePipelineOptions{}));
+  ASSERT_OK(mis.ApplyBatch(SomeUpdates(1)));
+  ASSERT_OK(mis.Compact(/*force=*/true));
+  IoStats journaled_io;
+  AdjacencyFileScanner journaled(&journaled_io);
+  ASSERT_OK(journaled.Open(root));
+  ASSERT_OK(journaled.Close());
+  // The root (magic read, then the epoch pointer), the epoch's manifest
+  // and delta manifest (validation), the manifest again, and shard 0.
+  EXPECT_EQ(journaled_io.files_opened, 6u);
 }
 
 }  // namespace

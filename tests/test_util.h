@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/mis_common.h"
 #include "graph/graph.h"
 #include "graph/graph_io.h"
 #include "io/scratch.h"
@@ -114,6 +115,37 @@ inline std::vector<VertexId> SetToVector(const BitVector& set) {
     if (set.Test(v)) out.push_back(static_cast<VertexId>(v));
   }
   return out;
+}
+
+/// FNV-1a over `bytes` bytes at `data`, continuing from `hash`. Pin tests
+/// fold whole state arrays into one word with it.
+inline uint64_t Fnv1a(const void* data, size_t bytes,
+                      uint64_t hash = 0xcbf29ce484222325ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    hash = (hash ^ p[i]) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// Digest of a run's per-round counters (every field but `seconds`).
+inline uint64_t RoundStatsDigest(const std::vector<RoundStats>& rounds) {
+  uint64_t hash = Fnv1a(nullptr, 0);
+  for (const RoundStats& r : rounds) {
+    const uint64_t fields[] = {r.one_k_swaps,       r.two_k_swaps,
+                               r.follower_joins,    r.zero_one_swaps,
+                               r.conflicts,         r.denied_promotions,
+                               r.new_is_vertices,   r.removed_is_vertices,
+                               r.is_size_after,     r.frontier_after};
+    hash = Fnv1a(fields, sizeof(fields), hash);
+  }
+  return hash;
+}
+
+/// Digest of a set's sorted member ids.
+inline uint64_t SetDigest(const BitVector& set) {
+  const std::vector<VertexId> ids = SetToVector(set);
+  return Fnv1a(ids.data(), ids.size() * sizeof(VertexId));
 }
 
 }  // namespace testing_util

@@ -51,5 +51,19 @@ TEST(U64HashSetTest, ClearReleasesTheTable) {
   EXPECT_TRUE(set.Insert(99));
 }
 
+TEST(U64HashSetTest, ResetKeepsTheTable) {
+  U64HashSet set;
+  for (uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(set.Insert(k));
+  const size_t bytes = set.MemoryBytes();
+  set.Reset();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.MemoryBytes(), bytes);
+  EXPECT_FALSE(set.Contains(99));
+  for (uint64_t k = 1000; k < 1100; ++k) ASSERT_TRUE(set.Insert(k));
+  EXPECT_EQ(set.MemoryBytes(), bytes);  // the refill did not grow
+  EXPECT_TRUE(set.Contains(1099));
+  EXPECT_FALSE(set.Contains(5));
+}
+
 }  // namespace
 }  // namespace semis
